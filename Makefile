@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt check bench bench-json serve smoke cluster-smoke cluster-bench workload-smoke obs-smoke cache-delta-bench
+.PHONY: all build test race vet lint fmt perfbench-check check bench bench-json serve smoke cluster-smoke workload-smoke obs-smoke cache-delta-bench
 
 all: check
 
@@ -30,7 +30,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-check: fmt vet lint race obs-smoke
+# perfbench is a module of its own, so ./... above never compiles it;
+# this keeps a root API change from breaking the benchmark unseen.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: fmt vet lint race perfbench-check obs-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
@@ -52,11 +57,6 @@ smoke:
 # follower failover.
 cluster-smoke:
 	./scripts/cluster_smoke.sh
-
-# Cache-affinity routing benchmark (hash vs round-robin aggregate hit
-# rate across 3 replicas) → BENCH_PR6.json.
-cluster-bench:
-	./scripts/cluster_bench.sh
 
 # Workload scenario smoke: simload drives every preset against a live
 # simrankd on a fixture graph → BENCH_PR8.json (SLO-scored report).

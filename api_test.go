@@ -13,18 +13,20 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(g, Options{Epsilon: 0.02, Seed: 1})
+	c, err := NewClient(g, Options{Epsilon: 0.02, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.SingleSource(100)
+	defer c.Close()
+	ctx := context.Background()
+	res, err := c.SingleSource(ctx, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Scores[100] != 1 {
 		t.Fatal("self score != 1")
 	}
-	top, err := eng.TopK(100, 10)
+	top, err := c.TopK(ctx, 100, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func TestQuickstartFlow(t *testing.T) {
 			t.Fatal("query node in topk")
 		}
 	}
-	if eng.Graph() != g {
+	if c.Graph() != g {
 		t.Fatal("graph accessor")
 	}
 }
@@ -49,12 +51,13 @@ func TestAccuracyAgainstOracles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(g, Options{Epsilon: 0.01, Seed: 3})
+	c, err := NewClient(g, Options{Epsilon: 0.01, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	u := int32(7)
-	res, err := eng.SingleSource(u)
+	res, err := c.SingleSource(context.Background(), u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,21 +187,23 @@ func TestPairQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(g, Options{Epsilon: 0.01, Seed: 1})
+	c, err := NewClient(g, Options{Epsilon: 0.01, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := eng.Pair(1, 2)
+	defer c.Close()
+	ctx := context.Background()
+	v, err := c.Pair(ctx, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(v-0.6) > 0.01 {
 		t.Fatalf("Pair(1,2) = %v, want 0.6", v)
 	}
-	if _, err := eng.Pair(1, 99); err == nil {
+	if _, err := c.Pair(ctx, 1, 99); err == nil {
 		t.Fatal("bad target accepted")
 	}
-	self, err := eng.Pair(1, 1)
+	self, err := c.Pair(ctx, 1, 1)
 	if err != nil || self != 1 {
 		t.Fatalf("Pair self = %v, %v", self, err)
 	}

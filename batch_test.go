@@ -1,8 +1,20 @@
 package simpush
 
 import (
+	"context"
 	"testing"
 )
+
+// newBatchClient returns a Client over g that the test closes at cleanup.
+func newBatchClient(t *testing.T, g *Graph, opt Options) *Client {
+	t.Helper()
+	c, err := NewClient(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
 
 func TestBatchSingleSource(t *testing.T) {
 	g, err := SyntheticWebGraph(5000, 8, 11)
@@ -10,7 +22,8 @@ func TestBatchSingleSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := []int32{0, 17, 512, 4999, 17}
-	results, err := BatchSingleSource(g, queries, Options{Epsilon: 0.05, Seed: 3}, 2)
+	c := newBatchClient(t, g, Options{Epsilon: 0.05, Seed: 3})
+	results, err := c.BatchSingleSource(context.Background(), queries, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +45,8 @@ func TestBatchValidatesNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BatchSingleSource(g, []int32{5, 99999}, Options{}, 0); err == nil {
+	c := newBatchClient(t, g, Options{})
+	if _, err := c.BatchSingleSource(context.Background(), []int32{5, 99999}, 0); err == nil {
 		t.Fatal("out-of-range query accepted")
 	}
 }
@@ -42,7 +56,8 @@ func TestBatchEmptyAndDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BatchSingleSource(g, nil, Options{}, 0)
+	ctx := context.Background()
+	res, err := newBatchClient(t, g, Options{}).BatchSingleSource(ctx, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +65,7 @@ func TestBatchEmptyAndDefaults(t *testing.T) {
 		t.Fatal("nonempty result for empty batch")
 	}
 	// parallelism larger than batch clamps
-	res, err = BatchSingleSource(g, []int32{1}, Options{Epsilon: 0.1}, 64)
+	res, err = newBatchClient(t, g, Options{Epsilon: 0.1}).BatchSingleSource(ctx, []int32{1}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +83,8 @@ func TestBatchMatchesSingleAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := BatchSingleSource(g, []int32{7}, Options{Epsilon: 0.02, Seed: 9}, 2)
+	c := newBatchClient(t, g, Options{Epsilon: 0.02, Seed: 9})
+	results, err := c.BatchSingleSource(context.Background(), []int32{7}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +110,8 @@ func TestDynamicGraphFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(g, Options{Epsilon: 0.01, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.SingleSource(1)
+	ctx := context.Background()
+	res, err := newBatchClient(t, g, Options{Epsilon: 0.01, Seed: 1}).SingleSource(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +127,7 @@ func TestDynamicGraphFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2, err := New(g2, Options{Epsilon: 0.01, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := eng2.SingleSource(1)
+	res2, err := newBatchClient(t, g2, Options{Epsilon: 0.01, Seed: 1}).SingleSource(ctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,68 +156,11 @@ func TestBatchInvalidOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BatchSingleSource(g, []int32{1, 2}, Options{Epsilon: 5}, 2); err == nil {
-		t.Fatal("invalid epsilon accepted")
+	if _, err := NewClient(g, Options{Epsilon: 5}); err == nil {
+		t.Fatal("invalid epsilon accepted by NewClient")
 	}
-}
-
-// TestBatchReusesCachedClient verifies the deprecated wrapper no longer
-// constructs (and abandons) an engine pool per call: repeated batches on
-// the same (graph, options) share one package-cached Client.
-func TestBatchReusesCachedClient(t *testing.T) {
-	g, err := SyntheticWebGraph(800, 5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := Options{Epsilon: 0.1, Seed: 21}
-	if _, err := BatchSingleSource(g, []int32{1, 2}, opt, 2); err != nil {
-		t.Fatal(err)
-	}
-	batchMu.Lock()
-	first := batchClients[batchKey{g: g, opt: opt}]
-	batchMu.Unlock()
-	if first == nil {
-		t.Fatal("no client cached after first batch")
-	}
-	if _, err := BatchSingleSource(g, []int32{3}, opt, 1); err != nil {
-		t.Fatal(err)
-	}
-	batchMu.Lock()
-	second := batchClients[batchKey{g: g, opt: opt}]
-	batchMu.Unlock()
-	if second != first {
-		t.Fatal("second batch did not reuse the cached client")
-	}
-	// Different options are a different pool.
-	if _, err := BatchSingleSource(g, []int32{1}, Options{Epsilon: 0.2, Seed: 21}, 1); err != nil {
-		t.Fatal(err)
-	}
-	batchMu.Lock()
-	entries := len(batchClients)
-	batchMu.Unlock()
-	if entries < 2 {
-		t.Fatalf("distinct options share a client: %d entries", entries)
-	}
-}
-
-// TestBatchClientCacheBounded fills the cache beyond its bound and checks
-// eviction keeps it at the cap.
-func TestBatchClientCacheBounded(t *testing.T) {
-	g, err := SyntheticWebGraph(500, 4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2*maxCachedBatchClients; i++ {
-		opt := Options{Epsilon: 0.1 + float64(i)*0.01, Seed: 5}
-		if _, err := BatchSingleSource(g, []int32{1}, opt, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	batchMu.Lock()
-	entries := len(batchClients)
-	order := len(batchOrder)
-	batchMu.Unlock()
-	if entries > maxCachedBatchClients || order != entries {
-		t.Fatalf("cache holds %d clients (order %d), bound %d", entries, order, maxCachedBatchClients)
+	c := newBatchClient(t, g, Options{})
+	if _, err := c.BatchSingleSource(context.Background(), []int32{1, 2}, 2, WithEpsilon(5)); err == nil {
+		t.Fatal("invalid per-batch epsilon accepted")
 	}
 }

@@ -285,9 +285,15 @@ func BenchmarkBatchThroughput(b *testing.B) {
 	for i := range queries {
 		queries[i] = int32((i + 1) * 6151 % int(g.N()))
 	}
+	c, err := NewClient(g, Options{Epsilon: 0.02})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BatchSingleSource(g, queries, Options{Epsilon: 0.02, Seed: uint64(i)}, 0); err != nil {
+		if _, err := c.BatchSingleSource(ctx, queries, 0, WithSeed(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

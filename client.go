@@ -143,7 +143,7 @@ type Client struct {
 }
 
 // clientCounters is the always-on instrumentation behind Client.Stats.
-// Counters are atomics: queries touch them on the hot path and /statsz
+// Counters are atomics: queries touch them on the hot path and /metricsz
 // readers must not contend with them.
 type clientCounters struct {
 	queries  atomic.Uint64 // engine query executions

@@ -224,14 +224,6 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := NewMethod("SimPush", g, 9, 1); !errors.Is(err, ErrInvalidOptions) {
 		t.Fatalf("NewMethod err = %v", err)
 	}
-	// v1 wrapper surfaces the same taxonomy.
-	eng, err := New(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Pair(1, 99); !errors.Is(err, ErrNodeOutOfRange) {
-		t.Fatalf("v1 Pair err = %v", err)
-	}
 }
 
 // Pair must reject an out-of-range target before running the single-source

@@ -21,18 +21,7 @@
 //
 //	simbench -exp fig4 -scale 0.25 -queries 5 -datasets in2004-sim,dblp-sim
 //
-// HTTP serving mode (-http) drives a running simrankd daemon instead of
-// the in-process library, and reports the serving-path baseline:
-// throughput, p50/p90/p99 latency, and cache hit rate under a
-// configurable hot-node workload:
-//
-//	simbench -http http://localhost:8080 -http-duration 30s \
-//	    -http-concurrency 16 -http-hot 32 -http-hotfrac 0.8
-//
-// -http is deprecated: it now runs as a closed-loop shim over the
-// internal/workload subsystem and keeps its TSV report, but new load
-// runs should use cmd/simload (open-loop arrival processes, Zipfian
-// popularity, mutation traffic, scenario presets, SLO scoring).
+// Load against a running simrankd or simproxy is cmd/simload's job.
 //
 // Parallelism mode (-parallelism k, k > 1) measures intra-query speedup:
 // it runs the same seeded single-source queries serially and with
@@ -68,38 +57,8 @@ func main() {
 		seed         = flag.Uint64("seed", 0x51e9a7, "random seed")
 		verbose      = flag.Bool("v", true, "progress logging to stderr")
 		parallelism  = flag.Int("parallelism", 0, "measure intra-query speedup: serial vs this many workers per query (>1 activates)")
-
-		httpBase    = flag.String("http", "", "drive a running simrankd at this base URL instead of the library (deprecated: use simload)")
-		httpDur     = flag.Duration("http-duration", 10*time.Second, "HTTP load window")
-		httpConc    = flag.Int("http-concurrency", 8, "concurrent HTTP request loops")
-		httpEP      = flag.String("http-endpoint", "single-source", "endpoint under load: single-source|topk|pair|mix")
-		httpK       = flag.Int("http-k", 10, "k for HTTP topk requests")
-		httpHot     = flag.Int("http-hot", 64, "hot node set size (0 = whole graph)")
-		httpHotFrac = flag.Float64("http-hotfrac", 0.8, "fraction of requests drawn from the hot set")
-		httpEps     = flag.Float64("http-eps", 0, "per-request eps override (0 = server default)")
-		httpTimeout = flag.Duration("http-timeout", 30*time.Second, "per-request client timeout")
 	)
 	flag.Parse()
-
-	if *httpBase != "" {
-		err := runHTTPLoad(os.Stdout, loadOptions{
-			base:        strings.TrimRight(*httpBase, "/"),
-			duration:    *httpDur,
-			concurrency: *httpConc,
-			endpoint:    *httpEP,
-			k:           *httpK,
-			hot:         *httpHot,
-			hotFrac:     *httpHotFrac,
-			eps:         *httpEps,
-			timeout:     *httpTimeout,
-			seed:        *seed,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *parallelism > 1 {
 		dss, err := selectDatasets(*datasets)

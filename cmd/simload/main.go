@@ -22,11 +22,13 @@
 //
 // The -out file aggregates one scored Report per scenario (see
 // docs/workloads.md for the schema); -strict exits nonzero when any
-// scenario misses its SLO. When the target exposes /metricsz, each
-// report also carries a metrics_delta block — per-stage engine seconds,
-// admission waiting and cache movement over the run window (see
-// docs/observability.md). Diagnostics on stderr are structured logs
-// (-log-level, -log-format).
+// scenario misses its SLO. Against a simrankd target each report also
+// carries the counter movement over the run window, read from /metricsz
+// before and after the run: cache hits, engine queries, admission
+// rejections, and a metrics_delta block with per-stage engine seconds
+// and admission waiting (see docs/observability.md). A simproxy target
+// exposes no such counters, so those blocks are omitted. Diagnostics on
+// stderr are structured logs (-log-level, -log-format).
 package main
 
 import (
@@ -35,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -127,14 +128,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Target:      *target,
 		Pass:        true,
 	}
-	scrapeClient := &http.Client{Timeout: *timeout}
-	base := strings.TrimRight(*target, "/")
 	for _, spec := range specs {
 		logger.Info("scenario start",
 			"scenario", spec.Name,
 			"seed", spec.Seed,
 			"duration", time.Duration(spec.Duration).String())
-		before := scrapeMetrics(scrapeClient, base)
 		rep, err := workload.Run(ctx, spec, workload.RunOptions{
 			Target:         *target,
 			Timeout:        *timeout,
@@ -144,7 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			logger.Error("scenario failed", "scenario", spec.Name, "error", err.Error())
 			return 1
 		}
-		rep.Metrics = metricsDelta(before, scrapeMetrics(scrapeClient, base))
 		rep.WriteSummary(stdout)
 		bench.Scenarios = append(bench.Scenarios, rep)
 		if !rep.SLO.Pass {

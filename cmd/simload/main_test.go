@@ -71,7 +71,7 @@ func TestRunAllScenariosEmitsBench(t *testing.T) {
 		"-target", target,
 		"-scenario", "all",
 		"-duration", "1s",
-		"-rate-scale", "0.3",
+		"-rate-scale", "1",
 		"-out", outPath,
 	}, &out, &errBuf)
 	if code != 0 {
@@ -107,17 +107,39 @@ func TestRunAllScenariosEmitsBench(t *testing.T) {
 		if rep.Latency.P50Ms <= 0 && rep.OK > 0 {
 			t.Errorf("%s: latency not measured", rep.Scenario)
 		}
-		if rep.Metrics == nil {
-			t.Errorf("%s: metrics_delta missing (target serves /metricsz)", rep.Scenario)
-		} else if rep.OK > 0 && rep.Metrics.CacheHits+rep.Metrics.CacheMisses == 0 {
-			t.Errorf("%s: metrics_delta shows no cache movement over %d ok requests", rep.Scenario, rep.OK)
+		if rep.ServerCounters == nil {
+			t.Errorf("%s: counter blocks missing (target is a simrankd)", rep.Scenario)
+		} else if rep.OK > 0 && rep.Cache.Hits+rep.Cache.Misses == 0 {
+			t.Errorf("%s: cache block shows no movement over %d ok requests", rep.Scenario, rep.OK)
+		}
+	}
+	// The counter blocks sit at the top level of each report, with
+	// metrics_delta keeping only what the top level does not already say.
+	var doc struct {
+		Scenarios []map[string]json.RawMessage `json:"scenarios"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"cache", "engine_queries", "epoch_advances", "admission_rejected", "server_epoch", "metrics_delta"} {
+		if _, ok := doc.Scenarios[0][field]; !ok {
+			t.Errorf("report has no top-level %q", field)
+		}
+	}
+	var delta map[string]json.RawMessage
+	if err := json.Unmarshal(doc.Scenarios[0]["metrics_delta"], &delta); err != nil {
+		t.Fatal(err)
+	}
+	for field := range delta {
+		if field != "engine_stage_seconds" && field != "admission_waits" && field != "admission_wait_seconds" {
+			t.Errorf("metrics_delta repeats %q", field)
 		}
 	}
 	// At least one scenario computes (cache cold at start), so per-stage
 	// engine seconds must have accumulated somewhere.
 	var stageSum float64
 	for _, rep := range bench.Scenarios {
-		if rep.Metrics != nil {
+		if rep.ServerCounters != nil {
 			for _, v := range rep.Metrics.EngineStageSeconds {
 				stageSum += v
 			}

@@ -16,9 +16,9 @@
 //
 // Endpoints: the full simrankd query surface (/v1/single-source,
 // /v1/topk, /v1/pair, /v1/batch, /v1/edges) plus the proxy's own
-// /healthz (503 only when no replica is routable), /statsz (aggregate
-// counters + a per-replica breakdown) and /metricsz (Prometheus text,
-// per-replica series under a "replica" label).
+// /healthz (routable count, leader, epoch and graph size; 503 only when
+// no replica is routable) and /metricsz (Prometheus text: the proxy's
+// counters plus each replica's probed state under a "replica" label).
 //
 // Every request is stamped with an X-Request-Id (client-supplied ids
 // are kept) and the id is forwarded to the chosen replica, so one grep

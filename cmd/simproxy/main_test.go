@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -32,9 +33,7 @@ func TestProxyServesAndShutsDown(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		switch r.URL.Path {
 		case "/healthz":
-			fmt.Fprint(w, `{"status":"ok"}`)
-		case "/statsz":
-			fmt.Fprint(w, `{"epoch":3,"graph_n":10,"graph_m":20}`)
+			fmt.Fprint(w, `{"status":"ok","role":"standalone","epoch":3,"n":10,"lag":0,"in_flight":0}`)
 		case "/v1/single-source":
 			fmt.Fprint(w, `{"node":1,"epoch":3}`)
 		default:
@@ -85,14 +84,22 @@ func TestProxyServesAndShutsDown(t *testing.T) {
 		return resp.StatusCode, m
 	}
 
-	if code, body := get("/healthz"); code != 200 || body["routable"].(float64) != 1 {
-		t.Fatalf("healthz = %d %v", code, body)
+	if code, body := get("/healthz"); code != 200 || body["routable"] != float64(1) ||
+		body["epoch"] != float64(3) || body["n"] != float64(10) {
+		t.Fatalf("healthz = %d %v, want 1 routable replica at epoch 3 with n 10", code, body)
 	}
 	if code, body := get("/v1/single-source?node=1&seed=1"); code != 200 || body["epoch"].(float64) != 3 {
 		t.Fatalf("proxied query = %d %v", code, body)
 	}
-	if code, body := get("/statsz"); code != 200 || body["proxy"] != true || body["policy"] != "hash" {
-		t.Fatalf("statsz = %d %v", code, body)
+	resp, err := http.Get(base + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	want := fmt.Sprintf("simproxy_replica_up{replica=%q} 1", strings.TrimPrefix(replica.URL, "http://"))
+	if resp.StatusCode != 200 || !strings.Contains(string(metrics), want) {
+		t.Fatalf("metricsz = %d, want a line %q in:\n%s", resp.StatusCode, want, metrics)
 	}
 
 	cancel()

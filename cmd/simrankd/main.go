@@ -12,9 +12,8 @@
 //	POST   /v1/batch          many single-source queries, one epoch
 //	POST   /v1/edges          add edges (live source)
 //	DELETE /v1/edges          remove edges (live source)
-//	GET    /healthz           liveness/readiness (503 while draining)
-//	GET    /statsz            serving counters as JSON
-//	GET    /metricsz          Prometheus text exposition
+//	GET    /healthz           readiness: role, epoch, n, lag, in-flight (503 while draining)
+//	GET    /metricsz          every serving counter, Prometheus text exposition
 //	GET    /debug/queries     last-N completed query traces (with -trace-queries)
 //	GET    /v1/replication    leader-only mutation feed (with -lead)
 //

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/simrank/simpush/internal/obs"
 )
 
 func writeTestGraph(t *testing.T) string {
@@ -113,8 +115,26 @@ func TestDaemonServesAndShutsDown(t *testing.T) {
 		t.Fatalf("post-mutation query = %d %v, want computed", code, body)
 	}
 
-	if code, body := get("/statsz"); code != 200 || body["requests"].(float64) < 6 {
-		t.Fatalf("statsz = %d %v", code, body)
+	if code, body := get("/healthz"); code != 200 || body["epoch"] != float64(2) || body["n"] != float64(5) {
+		t.Fatalf("healthz after one write = %d %v, want epoch 2 and n 5", code, body)
+	}
+	resp, err = http.Get(base + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples, err := obs.ParseProm(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var requests float64
+	for _, s := range samples {
+		if s.Name == "simrankd_requests_total" {
+			requests += s.Value
+		}
+	}
+	if requests < 6 {
+		t.Fatalf("metricsz counts %v requests, want >= 6", requests)
 	}
 
 	cancel()
@@ -261,7 +281,7 @@ func TestDaemonLeaderFollower(t *testing.T) {
 	}
 
 	epochOf := func(url string) float64 {
-		resp, err := http.Get(url + "/statsz")
+		resp, err := http.Get(url + "/healthz")
 		if err != nil {
 			return -1
 		}

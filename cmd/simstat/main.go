@@ -1,7 +1,7 @@
 // Command simstat prints structural statistics of a graph file: size,
 // degree distribution, directedness, dangling nodes, power-law tail fit,
 // and connectivity — the properties that determine SimRank algorithm
-// behaviour (see DESIGN.md §6).
+// behaviour (the dataset stand-ins in internal/gen are tuned on them).
 //
 // Usage:
 //

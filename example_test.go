@@ -1,6 +1,7 @@
 package simpush_test
 
 import (
+	"context"
 	"fmt"
 
 	simpush "github.com/simrank/simpush"
@@ -13,11 +14,12 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	eng, err := simpush.New(g, simpush.Options{Epsilon: 0.005, Seed: 1})
+	c, err := simpush.NewClient(g, simpush.Options{Epsilon: 0.005, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
-	s, err := eng.Pair(1, 2)
+	defer c.Close()
+	s, err := c.Pair(context.Background(), 1, 2)
 	if err != nil {
 		panic(err)
 	}
@@ -25,7 +27,7 @@ func Example() {
 	// Output: s(1,2) = 0.60
 }
 
-func ExampleEngine_TopK() {
+func ExampleClient_TopK() {
 	// A 4-node graph: 3 and 4 are two-hop siblings via 1 and 2.
 	g, err := simpush.FromEdges(
 		[]int32{0, 0, 1, 2},
@@ -33,11 +35,12 @@ func ExampleEngine_TopK() {
 	if err != nil {
 		panic(err)
 	}
-	eng, err := simpush.New(g, simpush.Options{Epsilon: 0.005, Seed: 1})
+	c, err := simpush.NewClient(g, simpush.Options{Epsilon: 0.005, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
-	top, err := eng.TopK(3, 1)
+	defer c.Close()
+	top, err := c.TopK(context.Background(), 3, 1)
 	if err != nil {
 		panic(err)
 	}
@@ -45,12 +48,17 @@ func ExampleEngine_TopK() {
 	// Output: most similar to 3: node 4 (0.36)
 }
 
-func ExampleBatchSingleSource() {
+func ExampleClient_BatchSingleSource() {
 	g, err := simpush.FromEdges([]int32{0, 0, 0}, []int32{1, 2, 3}, false)
 	if err != nil {
 		panic(err)
 	}
-	results, err := simpush.BatchSingleSource(g, []int32{1, 2}, simpush.Options{Epsilon: 0.005, Seed: 1}, 2)
+	c, err := simpush.NewClient(g, simpush.Options{Epsilon: 0.005, Seed: 1})
+	if err != nil {
+		panic(err)
+	}
+	defer c.Close()
+	results, err := c.BatchSingleSource(context.Background(), []int32{1, 2}, 2)
 	if err != nil {
 		panic(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"github.com/simrank/simpush/internal/gen"
 )
 
-// Ablations quantifies the design choices DESIGN.md calls out:
+// Ablations quantifies two of SimPush's design choices:
 //
 //  1. the last-meeting correction γ (Algorithms 3-4) on vs off — without
 //     it, repeated meetings are double counted and error rises;

@@ -86,7 +86,7 @@ func Figure6(w io.Writer, opt Options, datasets []gen.Dataset) error {
 // Figures456 runs the sweep once per dataset and emits the three metric
 // views of Figures 4, 5 and 6 from the same rows. RunDataset dominates the
 // cost, so this is ~3x cheaper than running the figures separately; it is
-// what cmd/simbench -exp figs and the recorded EXPERIMENTS.md runs use.
+// what cmd/simbench -exp figs runs.
 func Figures456(w io.Writer, opt Options, datasets []gen.Dataset) error {
 	for _, ds := range datasets {
 		rows, err := RunDataset(opt, ds)

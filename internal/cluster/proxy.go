@@ -12,9 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/simrank/simpush/internal/cache"
 	"github.com/simrank/simpush/internal/obs"
-	"github.com/simrank/simpush/internal/server"
 )
 
 // ReplicaHeader names the response header the proxy stamps with the
@@ -51,15 +49,13 @@ type Proxy struct {
 	start  time.Time
 	logger *slog.Logger
 
-	requests  counter
-	writes    counter
-	retries   counter
-	failovers counter // requests answered by the retry replica
-	noReplica counter
-	badGW     counter
+	requests  atomic.Uint64
+	writes    atomic.Uint64
+	retries   atomic.Uint64
+	failovers atomic.Uint64 // requests answered by the retry replica
+	noReplica atomic.Uint64
+	badGW     atomic.Uint64
 }
-
-type counter struct{ v atomic.Uint64 }
 
 // New builds a Proxy over cfg.Set.
 func New(cfg Config) (*Proxy, error) {
@@ -93,7 +89,6 @@ func New(cfg Config) (*Proxy, error) {
 	p.mux.HandleFunc("/v1/batch", p.handleRead)
 	p.mux.HandleFunc("/v1/edges", p.handleWrite)
 	p.mux.HandleFunc("/healthz", p.handleHealthz)
-	p.mux.HandleFunc("/statsz", p.handleStatsz)
 	p.mux.HandleFunc("/metricsz", p.handleMetricsz)
 	return p, nil
 }
@@ -204,7 +199,7 @@ func retryable(resp *http.Response, err error) bool {
 // handleRead routes one query through the policy, failing over once to
 // another routable replica on 429/5xx or a transport error.
 func (p *Proxy) handleRead(w http.ResponseWriter, r *http.Request) {
-	p.requests.v.Add(1)
+	p.requests.Add(1)
 	id := ensureRequestID(w, r)
 	var body []byte
 	if r.Body != nil {
@@ -217,7 +212,7 @@ func (p *Proxy) handleRead(w http.ResponseWriter, r *http.Request) {
 	}
 	candidates := p.set.Routable()
 	if len(candidates) == 0 {
-		p.noReplica.v.Add(1)
+		p.noReplica.Add(1)
 		writeProxyError(w, http.StatusServiceUnavailable, "no_replica", "no routable replica (all draining, lagging or unreachable)")
 		return
 	}
@@ -234,7 +229,7 @@ func (p *Proxy) handleRead(w http.ResponseWriter, r *http.Request) {
 				rest = append(rest, c)
 			}
 		}
-		p.retries.v.Add(1)
+		p.retries.Add(1)
 		rep2 := p.policy.Pick(node, hasNode, rest)
 		firstStatus := 0
 		if err == nil {
@@ -252,14 +247,14 @@ func (p *Proxy) handleRead(w http.ResponseWriter, r *http.Request) {
 				resp.Body.Close()
 			}
 			resp, err, rep = resp2, nil, rep2
-			p.failovers.v.Add(1)
+			p.failovers.Add(1)
 		} else if err2 == nil {
 			io.Copy(io.Discard, resp2.Body)
 			resp2.Body.Close()
 		}
 	}
 	if err != nil {
-		p.badGW.v.Add(1)
+		p.badGW.Add(1)
 		p.logger.Warn("bad gateway", "request_id", id, "uri", uri, "replica", rep.Name, "error", err.Error())
 		writeProxyError(w, http.StatusBadGateway, "bad_gateway", "replica %s: %v", rep.Name, err)
 		return
@@ -279,12 +274,12 @@ func errString(err error) string {
 // retried: the proxy cannot know whether a failed round-trip applied the
 // batch, and replaying it would commit the mutation twice.
 func (p *Proxy) handleWrite(w http.ResponseWriter, r *http.Request) {
-	p.requests.v.Add(1)
-	p.writes.v.Add(1)
+	p.requests.Add(1)
+	p.writes.Add(1)
 	id := ensureRequestID(w, r)
 	leader := p.set.Leader()
 	if leader == nil {
-		p.noReplica.v.Add(1)
+		p.noReplica.Add(1)
 		writeProxyError(w, http.StatusServiceUnavailable, "no_leader", "no replica currently claims the leader role")
 		return
 	}
@@ -295,7 +290,7 @@ func (p *Proxy) handleWrite(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := p.do(r.Context(), leader, r.Method, r.URL.RequestURI(), r.Header.Get("Content-Type"), id, body)
 	if err != nil {
-		p.badGW.v.Add(1)
+		p.badGW.Add(1)
 		p.logger.Warn("bad gateway", "request_id", id, "uri", r.URL.RequestURI(), "replica", leader.Name, "error", err.Error())
 		writeProxyError(w, http.StatusBadGateway, "bad_gateway", "leader %s: %v", leader.Name, err)
 		return
@@ -311,10 +306,13 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "no_replica"
 	}
+	epoch, n := p.set.newest()
 	body := map[string]any{
 		"status":   state,
 		"routable": routable,
 		"replicas": len(p.set.Replicas()),
+		"epoch":    epoch,
+		"n":        n,
 	}
 	if leader := p.set.Leader(); leader != nil {
 		body["leader"] = leader.Name
@@ -322,110 +320,4 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(body)
-}
-
-// ReplicaStats is one replica's block in the proxy's /statsz.
-type ReplicaStats struct {
-	Name          string      `json:"name"`
-	URL           string      `json:"url"`
-	Healthy       bool        `json:"healthy"`
-	Routable      bool        `json:"routable"`
-	Leader        bool        `json:"leader"`
-	Status        string      `json:"status"`
-	Epoch         uint64      `json:"epoch"`
-	Lag           int64       `json:"lag"`
-	InFlight      int64       `json:"in_flight"`
-	Proxied       uint64      `json:"requests_proxied"`
-	Cache         cache.Stats `json:"cache"`
-	EngineQueries uint64      `json:"engine_queries"`
-}
-
-// StatsSnapshot is the proxy's /statsz payload. The top-level field
-// names (graph_n, epoch, cache, client) deliberately mirror a replica's
-// /statsz so tooling that reads either — simbench -http in particular —
-// works against both; aggregates are summed over the roster and Replicas
-// carries the per-replica breakdown.
-type StatsSnapshot struct {
-	Proxy         bool               `json:"proxy"`
-	Policy        string             `json:"policy"`
-	UptimeSeconds float64            `json:"uptime_seconds"`
-	GraphN        int32              `json:"graph_n"`
-	GraphM        int64              `json:"graph_m"`
-	Epoch         uint64             `json:"epoch"`
-	Requests      uint64             `json:"requests"`
-	Writes        uint64             `json:"writes"`
-	Retries       uint64             `json:"retries"`
-	Failovers     uint64             `json:"failovers"`
-	NoReplica     uint64             `json:"no_replica_503"`
-	BadGateway    uint64             `json:"bad_gateway_502"`
-	Routable      int                `json:"routable"`
-	Cache         cache.Stats        `json:"cache"`
-	Client        server.ClientStats `json:"client"`
-	Replicas      []ReplicaStats     `json:"replicas"`
-}
-
-// Stats assembles the aggregate + per-replica snapshot from the last
-// probe results (call Set.ProbeOnce first for fresh numbers).
-func (p *Proxy) Stats() StatsSnapshot {
-	snap := StatsSnapshot{
-		Proxy:         true,
-		Policy:        p.policy.Name(),
-		UptimeSeconds: time.Since(p.start).Seconds(),
-		Requests:      p.requests.v.Load(),
-		Writes:        p.writes.v.Load(),
-		Retries:       p.retries.v.Load(),
-		Failovers:     p.failovers.v.Load(),
-		NoReplica:     p.noReplica.v.Load(),
-		BadGateway:    p.badGW.v.Load(),
-	}
-	for _, r := range p.set.Replicas() {
-		rs := ReplicaStats{
-			Name:     r.Name,
-			URL:      r.URL,
-			Healthy:  r.healthy.Load(),
-			Routable: r.routable.Load(),
-			Leader:   r.leader.Load(),
-			Status:   r.Status(),
-			Epoch:    r.epoch.Load(),
-			Lag:      r.lag.Load(),
-			InFlight: r.Load(),
-			Proxied:  r.proxied.Load(),
-		}
-		if st := r.stats.Load(); st != nil {
-			rs.Cache = st.Cache
-			rs.EngineQueries = st.Client.Queries
-			snap.Cache.Hits += st.Cache.Hits
-			snap.Cache.Misses += st.Cache.Misses
-			snap.Cache.Coalesced += st.Cache.Coalesced
-			snap.Cache.Evictions += st.Cache.Evictions
-			snap.Cache.Entries += st.Cache.Entries
-			snap.Client.Queries += st.Client.Queries
-			snap.Client.Errors += st.Client.Errors
-			snap.Client.InFlight += st.Client.InFlight
-			if snap.GraphN == 0 {
-				snap.GraphN, snap.GraphM = st.GraphN, st.GraphM
-			}
-		}
-		if rs.Routable {
-			snap.Routable++
-			if rs.Epoch > snap.Epoch {
-				snap.Epoch = rs.Epoch
-			}
-		}
-		snap.Replicas = append(snap.Replicas, rs)
-	}
-	return snap
-}
-
-// handleStatsz refreshes the probe state (bounded to 2s) so the counters
-// are current, then reports the aggregate + per-replica snapshot.
-func (p *Proxy) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), 2*time.Second)
-	p.set.ProbeOnce(ctx)
-	cancel()
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(p.Stats())
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -32,6 +33,12 @@ func (c *clusterFixture) leaderName() string { return strings.TrimPrefix(c.leade
 // deterministic base graph.
 func newReplicaServer(t *testing.T, role server.Role, leaderURL string) *server.Server {
 	t.Helper()
+	return newReplica(t, server.Config{Role: role, LeaderURL: leaderURL, TraceRing: 16})
+}
+
+// newReplica builds a server with cfg over the shared base graph.
+func newReplica(t *testing.T, cfg server.Config) *server.Server {
+	t.Helper()
 	g, err := simpush.SyntheticWebGraph(300, 5, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +48,8 @@ func newReplicaServer(t *testing.T, role server.Role, leaderURL string) *server.
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close() })
-	srv, err := server.New(server.Config{Client: client, Role: role, LeaderURL: leaderURL, TraceRing: 16})
+	cfg.Client = client
+	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +170,8 @@ func TestClusterWriteConvergesBitIdentical(t *testing.T) {
 	for i, f := range c.followers {
 		f := f
 		waitFor(t, 10*time.Second, fmt.Sprintf("follower %d at epoch %v", i, wantEpoch), func() bool {
-			code, _, stats := get(t, f.URL+"/statsz")
-			if code != http.StatusOK {
-				return false
-			}
-			rep, ok := stats["replication"].(map[string]any)
-			return ok && rep["applied_epoch"].(float64) == wantEpoch && rep["lag"].(float64) == 0
+			code, _, h := get(t, f.URL+"/healthz")
+			return code == http.StatusOK && h["epoch"] == wantEpoch && h["lag"] == float64(0)
 		})
 	}
 
@@ -226,6 +230,64 @@ func TestProxyCacheAffinityIsSticky(t *testing.T) {
 	}
 }
 
+// TestHashRoutingBeatsRoundRobinOnHitRate is the cache-affinity gain:
+// three standalone replicas whose caches hold 32 entries each serve a
+// 96-node hot set. Round-robin shows every replica every node, so each
+// cache thrashes; hash routing gives each replica its own third of the
+// set, which roughly fits. The same requests (fixed seed, fixed
+// shuffled order per round) run once per policy on cold replicas, and
+// the aggregate hit rate comes from the replicas' own caches.
+func TestHashRoutingBeatsRoundRobinOnHitRate(t *testing.T) {
+	const hot, rounds = 96, 6
+	order := rand.New(rand.NewPCG(1, 2))
+	var plan []int
+	for r := 0; r < rounds; r++ {
+		plan = append(plan, order.Perm(hot)...)
+	}
+	hitRate := func(policy string) float64 {
+		var urls []string
+		var reps []*server.Server
+		for i := 0; i < 3; i++ {
+			srv := newReplica(t, server.Config{CacheEntries: 32})
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(ts.Close)
+			urls = append(urls, ts.URL)
+			reps = append(reps, srv)
+		}
+		set, err := NewSet(SetConfig{Replicas: urls})
+		if err != nil {
+			t.Fatal(err)
+		}
+		set.ProbeOnce(context.Background())
+		p, err := New(Config{Set: set, Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, node := range plan {
+			rec := httptest.NewRecorder()
+			p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
+				fmt.Sprintf("/v1/single-source?node=%d&seed=1&eps=0.3", node), nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: node %d = %d %s", policy, node, rec.Code, rec.Body)
+			}
+		}
+		var hits, misses uint64
+		for _, srv := range reps {
+			st := srv.Cache().Stats()
+			hits, misses = hits+st.Hits, misses+st.Misses
+		}
+		if hits+misses != uint64(len(plan)) {
+			t.Fatalf("%s: caches saw %d lookups, want %d", policy, hits+misses, len(plan))
+		}
+		return float64(hits) / float64(hits+misses)
+	}
+	rr, hash := hitRate("round-robin"), hitRate("hash")
+	t.Logf("aggregate hit rate: hash %.3f, round-robin %.3f", hash, rr)
+	if hash <= rr {
+		t.Fatalf("hash hit rate %.3f is not above round-robin's %.3f", hash, rr)
+	}
+}
+
 // TestProxyFailsOverOnReplicaError: a replica that accepts probes but
 // fails queries gets one retry on another replica; the client sees 200.
 func TestProxyFailsOverOnReplicaError(t *testing.T) {
@@ -236,9 +298,7 @@ func TestProxyFailsOverOnReplicaError(t *testing.T) {
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/healthz":
-			fmt.Fprint(w, `{"status":"ok"}`)
-		case "/statsz":
-			fmt.Fprint(w, `{"epoch":1}`)
+			fmt.Fprint(w, `{"status":"ok","epoch":1}`)
 		default:
 			http.Error(w, "boom", http.StatusInternalServerError)
 		}
@@ -267,8 +327,8 @@ func TestProxyFailsOverOnReplicaError(t *testing.T) {
 			t.Fatalf("request %d served by %q, want failover to %q", i, via, goodName)
 		}
 	}
-	if st := p.Stats(); st.Retries == 0 || st.Failovers == 0 {
-		t.Fatalf("stats = retries %d failovers %d, want both > 0", st.Retries, st.Failovers)
+	if p.retries.Load() == 0 || p.failovers.Load() == 0 {
+		t.Fatalf("retries %d failovers %d, want both > 0", p.retries.Load(), p.failovers.Load())
 	}
 }
 
@@ -306,50 +366,67 @@ func TestProxyAvoidsDrainingReplica(t *testing.T) {
 	}
 }
 
-// TestProxyStatszAggregates: the proxy's /statsz carries the aggregate
-// counters plus one block per replica, with top-level names simbench
-// already understands.
-func TestProxyStatszAggregates(t *testing.T) {
+// TestProxyMetricszReplicaState: the proxy's /metricsz carries its own
+// counters plus one series per replica for each probed field, and its
+// /healthz names the routable epoch and graph size.
+func TestProxyMetricszReplicaState(t *testing.T) {
 	c := startCluster(t, "hash")
 	for i := 0; i < 4; i++ {
 		if code, _, _ := get(t, fmt.Sprintf("%s/v1/single-source?node=%d&seed=1", c.proxy.URL, i)); code != 200 {
 			t.Fatalf("warm-up read %d failed", i)
 		}
 	}
-	code, _, body := get(t, c.proxy.URL+"/statsz")
-	if code != http.StatusOK {
-		t.Fatalf("proxy statsz = %d", code)
+	samples := scrapeProm(t, c.proxy.URL)
+	if v, _ := obs.FindSample(samples, "simproxy_requests_total", nil); v < 4 {
+		t.Fatalf("simproxy_requests_total = %v, want >= 4", v)
 	}
-	if body["proxy"] != true || body["policy"] != "hash" {
-		t.Fatalf("statsz identity = proxy:%v policy:%v", body["proxy"], body["policy"])
-	}
-	if got := body["requests"].(float64); got < 4 {
-		t.Fatalf("requests = %v, want >= 4", got)
-	}
-	if got := body["graph_n"].(float64); got != 300 {
-		t.Fatalf("graph_n = %v, want 300", got)
-	}
-	reps := body["replicas"].([]any)
-	if len(reps) != 3 {
-		t.Fatalf("statsz lists %d replicas, want 3", len(reps))
-	}
-	var leaders, proxied int
-	for _, r := range reps {
-		rm := r.(map[string]any)
-		if rm["leader"] == true {
-			leaders++
+	var up, routable, leaders, proxied float64
+	series := 0
+	for _, s := range samples {
+		switch s.Name {
+		case "simproxy_replica_up":
+			series++
+			up += s.Value
+		case "simproxy_replica_routable":
+			routable += s.Value
+		case "simproxy_replica_leader":
+			leaders += s.Value
+		case "simproxy_replica_requests_proxied_total":
+			proxied += s.Value
 		}
-		proxied += int(rm["requests_proxied"].(float64))
-		if rm["status"] != "ok" {
-			t.Fatalf("replica %v status = %v, want ok", rm["name"], rm["status"])
-		}
+	}
+	if series != 3 || up != 3 || routable != 3 {
+		t.Fatalf("replica series = %d, up %v, routable %v; want 3 of each", series, up, routable)
 	}
 	if leaders != 1 {
-		t.Fatalf("%d replicas claim leadership, want exactly 1", leaders)
+		t.Fatalf("%v replicas claim leadership, want exactly 1", leaders)
 	}
 	if proxied < 4 {
-		t.Fatalf("per-replica proxied counts sum to %d, want >= 4", proxied)
+		t.Fatalf("per-replica proxied counts sum to %v, want >= 4", proxied)
 	}
+
+	code, _, h := get(t, c.proxy.URL+"/healthz")
+	if code != http.StatusOK || h["epoch"] != float64(1) || h["n"] != float64(300) || h["leader"] != c.leaderName() {
+		t.Fatalf("proxy healthz = %d %v, want epoch 1, n 300 and the leader's name", code, h)
+	}
+}
+
+// scrapeProm fetches and parses a daemon's /metricsz.
+func scrapeProm(t *testing.T, base string) []obs.Sample {
+	t.Helper()
+	resp, err := http.Get(base + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s/metricsz = %d", base, resp.StatusCode)
+	}
+	samples, err := obs.ParseProm(resp.Body)
+	if err != nil {
+		t.Fatalf("parsing %s/metricsz: %v", base, err)
+	}
+	return samples
 }
 
 // TestProxyNoRoutableReplica: with nothing routable the proxy sheds with

@@ -3,8 +3,8 @@
 // simproxy router is built from:
 //
 //   - a replica Set with a background health prober that tracks each
-//     replica's /healthz state and /statsz counters (role, epoch,
-//     replication lag, in-flight work, cache counters);
+//     replica's /healthz state (role, epoch, replication lag, in-flight
+//     work, graph size) with one request per replica per round;
 //   - pluggable RoutingPolicy implementations — consistent-hash on the
 //     query node (cache affinity), least-loaded, round-robin;
 //   - the Proxy handler itself, which routes reads through the policy,
@@ -19,11 +19,13 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/url"
 	"strings"
@@ -43,16 +45,16 @@ type Replica struct {
 	URL  string // base URL, no trailing slash
 	idx  int    // registration order; deterministic tie-breaks
 
-	healthy     atomic.Bool  // /healthz answered 200
+	healthy     atomic.Bool  // /healthz answered 200 with a readable body
 	routable    atomic.Bool  // healthy, not draining, lag within bound
-	leader      atomic.Bool  // /statsz replication.role == leader
-	status      atomic.Value // string: ok | draining | catching_up | diverged | unreachable | unknown
+	leader      atomic.Bool  // /healthz role == leader
+	status      atomic.Value // string: ok | lagging | draining | catching_up | diverged | malformed | unreachable | unknown
 	epoch       atomic.Uint64
+	n           atomic.Int32 // graph node count (last good probe)
 	lag         atomic.Int64
 	inFlight    atomic.Int64 // replica-reported engine in-flight (last probe)
 	outstanding atomic.Int64 // requests this proxy has open against it
 	proxied     atomic.Uint64
-	stats       atomic.Pointer[server.StatsSnapshot] // last good /statsz
 }
 
 // Load is the least-loaded signal: the replica's own in-flight engine
@@ -93,7 +95,7 @@ type SetConfig struct {
 }
 
 // Set is a fixed roster of replicas plus the prober that keeps their
-// health and stats fresh.
+// health state fresh.
 type Set struct {
 	replicas []*Replica
 	cfg      SetConfig
@@ -185,9 +187,8 @@ func (s *Set) Start(ctx context.Context) {
 }
 
 // ProbeOnce probes every replica concurrently and waits for the sweep to
-// finish. It is called by the background prober, at proxy startup so the
-// first request already sees health state, and by /statsz for fresh
-// counters.
+// finish. It is called by the background prober and at proxy startup, so
+// the first request already sees health state.
 func (s *Set) ProbeOnce(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, r := range s.replicas {
@@ -200,13 +201,11 @@ func (s *Set) ProbeOnce(ctx context.Context) {
 	wg.Wait()
 }
 
-// healthzBody is the /healthz payload (we only need the status string).
-type healthzBody struct {
-	Status string `json:"status"`
-}
-
-// probe refreshes one replica: /healthz decides routability, /statsz
-// refreshes counters, role and lag.
+// probe refreshes one replica from a single GET /healthz. The status
+// code decides health; a 200 body carries the role, epoch, lag,
+// in-flight work and graph size routing needs. A 200 whose body does
+// not decode fails closed (status malformed, not routable), and any
+// other answer keeps the last probed epoch, lag and role.
 func (s *Set) probe(ctx context.Context, r *Replica) {
 	pctx, cancel := context.WithTimeout(ctx, s.cfg.ProbeTimeout)
 	defer cancel()
@@ -214,33 +213,25 @@ func (s *Set) probe(ctx context.Context, r *Replica) {
 	status := "unreachable"
 	healthOK := false
 	if body, code, err := s.get(pctx, r.URL+"/healthz"); err == nil {
-		var hb healthzBody
-		if json.Unmarshal(body, &hb) == nil && hb.Status != "" {
-			status = hb.Status
-		} else if code == http.StatusOK {
-			status = "ok"
-		}
-		healthOK = code == http.StatusOK
-	}
-
-	var lag int64
-	if body, code, err := s.get(pctx, r.URL+"/statsz"); err == nil && code == http.StatusOK {
-		var snap server.StatsSnapshot
-		if json.Unmarshal(body, &snap) == nil {
-			r.stats.Store(&snap)
-			r.epoch.Store(snap.Epoch)
-			r.inFlight.Store(int64(snap.Admission.InFlight))
-			isLeader := false
-			if rep := snap.Replication; rep != nil {
-				lag = rep.Lag
-				isLeader = rep.Role == server.RoleLeader
-				r.epoch.Store(rep.AppliedEpoch)
-			}
-			r.leader.Store(isLeader)
+		var h server.Health
+		decoded := json.Unmarshal(body, &h) == nil
+		switch {
+		case code == http.StatusOK && decoded:
+			healthOK = true
+			status = cmp.Or(h.Status, "ok")
+			r.leader.Store(h.Role == server.RoleLeader)
+			r.epoch.Store(h.Epoch)
+			r.n.Store(h.N)
+			r.lag.Store(int64(min(h.Lag, math.MaxInt64)))
+			r.inFlight.Store(int64(h.InFlight))
+		case code == http.StatusOK:
+			status = "malformed"
+		case decoded && h.Status != "":
+			status = h.Status
 		}
 	}
-	r.lag.Store(lag)
 
+	lag := r.lag.Load()
 	routable := healthOK && lag <= s.cfg.MaxLag
 	if healthOK && lag > s.cfg.MaxLag {
 		status = "lagging"
@@ -254,6 +245,18 @@ func (s *Set) probe(ctx context.Context, r *Replica) {
 		s.cfg.Logger.Info("replica state change",
 			"replica", r.Name, "from", prev, "to", status, "routable", routable, "lag", lag)
 	}
+}
+
+// newest returns the highest epoch among routable replicas and the graph
+// size the replica at that epoch reports; both are 0 when nothing is
+// routable.
+func (s *Set) newest() (epoch uint64, n int32) {
+	for _, r := range s.Routable() {
+		if e := r.epoch.Load(); e >= epoch {
+			epoch, n = e, r.n.Load()
+		}
+	}
+	return epoch, n
 }
 
 func (s *Set) get(ctx context.Context, url string) ([]byte, int, error) {

@@ -3,7 +3,7 @@ package core
 import "time"
 
 // stageNow is the engine's only wall-clock read. Stage timings feed
-// Result.Durations — observability surfaced in /statsz and simbench —
+// Result.Durations — observability surfaced in /metricsz and simbench —
 // and never influence scores, sampling, or control flow, so they are
 // compatible with the fixed-(seed, parallelism) determinism contract.
 // Confining the read here keeps detmerge's no-wall-clock rule meaningful

@@ -34,7 +34,7 @@ type Dynamic struct {
 	pendEndpoints []int32
 	// discardedDeletions counts RemoveEdge calls for never-existing edges
 	// that a rebuild discarded after reporting the error once — silent
-	// no-ops from the caller's perspective, surfaced via /statsz.
+	// no-ops from the caller's perspective, surfaced via /metricsz.
 	discardedDeletions uint64
 
 	hook       func(EpochDelta) // commit hook; see SetCommitHook

@@ -43,7 +43,7 @@ func (s *Server) installCarryForward() {
 	} else if budget < 0 {
 		budget = 0 // explicit "unbounded"
 	}
-	s.deltaDepth, s.deltaBudget = depth, budget
+	s.deltaDepth = depth
 	// An entry computed with the engine-default ε is only safe to carry
 	// if the delta BFS ran at least as deep as the engine reads. True
 	// unless Config.DeltaDepth was forced below the engine's own bound.
@@ -58,7 +58,6 @@ func (s *Server) installCarryForward() {
 func (s *Server) onEpochDelta(d simpush.EpochDelta) {
 	s.deltas.Add(1)
 	s.deltaAffectedLast.Store(uint64(len(d.Affected)))
-	s.deltaAffectedSum.Add(uint64(len(d.Affected)))
 	cd := cache.Delta{FromEpoch: d.FromEpoch, ToEpoch: d.ToEpoch}
 	if d.Total {
 		s.deltaTotals.Add(1)
@@ -140,38 +139,4 @@ func (s *Server) paramsCarrySafe(params string) bool {
 	opt := s.engineOpts
 	opt.Epsilon = eps
 	return opt.MaxLevelBound() <= s.deltaDepth
-}
-
-// DeltaCarryStats is the /statsz "delta" block: how epoch-delta cache
-// carry-forward has behaved since startup. Present only when a dynamic
-// source is being served with carry-forward enabled.
-type DeltaCarryStats struct {
-	// Depth and Budget are the resolved affected-set BFS depth and size
-	// budget the commit hook runs with.
-	Depth  int `json:"depth"`
-	Budget int `json:"budget"`
-	// Commits counts committed epoch advances seen by the hook;
-	// TotalFallbacks counts those that degraded to a whole-cache drop.
-	Commits        uint64 `json:"commits"`
-	TotalFallbacks uint64 `json:"total_fallbacks"`
-	// LastAffectedNodes is the affected-set size of the most recent
-	// delta; AffectedNodesSum accumulates across all deltas.
-	LastAffectedNodes uint64 `json:"last_affected_nodes"`
-	AffectedNodesSum  uint64 `json:"affected_nodes_sum"`
-}
-
-// deltaStats assembles the /statsz block, or nil when carry-forward is
-// not installed (static source or explicitly disabled).
-func (s *Server) deltaStats() *DeltaCarryStats {
-	if s.dyn == nil || s.cfg.DisableCarryForward {
-		return nil
-	}
-	return &DeltaCarryStats{
-		Depth:             s.deltaDepth,
-		Budget:            s.deltaBudget,
-		Commits:           s.deltas.Load(),
-		TotalFallbacks:    s.deltaTotals.Load(),
-		LastAffectedNodes: s.deltaAffectedLast.Load(),
-		AffectedNodesSum:  s.deltaAffectedSum.Load(),
-	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/simrank/simpush"
+	"github.com/simrank/simpush/internal/obs"
 )
 
 // clusteredDyn builds `clusters` disconnected directed rings of `size`
@@ -242,8 +243,8 @@ func TestCarryForwardDisabled(t *testing.T) {
 	if body["cache"] != "computed" {
 		t.Fatalf("with carry disabled, post-mutation query = %v, want computed", body["cache"])
 	}
-	if st := s.Stats(); st.Delta != nil {
-		t.Fatalf("stats delta block = %+v, want absent when disabled", st.Delta)
+	if _, ok := obs.FindSample(scrape(t, s), "simrankd_delta_commits_total", nil); ok {
+		t.Fatal("/metricsz reports delta counters with carry-forward disabled")
 	}
 }
 
@@ -263,13 +264,14 @@ func TestLeaderMutationCarriesCache(t *testing.T) {
 	if body["cache"] != "hit" {
 		t.Fatalf("post-commit query = %v, want hit from the carried entry", body["cache"])
 	}
-	st := s.Stats()
-	if st.Delta == nil || st.Delta.Commits == 0 || st.Cache.Carried == 0 {
-		t.Fatalf("stats = delta %+v cache %+v", st.Delta, st.Cache)
+	samples := scrape(t, s)
+	if metric(t, samples, "simrankd_delta_commits_total", nil) == 0 ||
+		metric(t, samples, "simrankd_cache_carried_total", nil) == 0 {
+		t.Fatal("/metricsz shows no delta commit or carried entry after a leader write")
 	}
 }
 
-func TestStatszAndMetricszExposeDeltaCounters(t *testing.T) {
+func TestMetricszExposesDeltaCounters(t *testing.T) {
 	s, _ := newClusteredServer(t, Config{})
 	doReq(s, "GET", "/v1/single-source?node=30&seed=4", "")
 	// A removal of a never-existing edge: lazily discarded, surfaced as a
@@ -284,22 +286,12 @@ func TestStatszAndMetricszExposeDeltaCounters(t *testing.T) {
 		t.Fatalf("recovery query = %d %s", rec.Code, rec.Body.String())
 	}
 
-	stats := decodeBody(t, doReq(s, "GET", "/statsz", ""))
-	if got := stats["graph_discarded_deletions"].(float64); got != 1 {
-		t.Fatalf("graph_discarded_deletions = %v, want 1", got)
+	samples := scrape(t, s)
+	if got := metric(t, samples, "simrankd_graph_discarded_deletions_total", nil); got != 1 {
+		t.Fatalf("graph_discarded_deletions_total = %v, want 1", got)
 	}
-	delta, ok := stats["delta"].(map[string]any)
-	if !ok {
-		t.Fatalf("statsz has no delta block: %v", stats)
-	}
-	if delta["commits"].(float64) == 0 || delta["depth"].(float64) <= 0 {
-		t.Fatalf("delta block = %v", delta)
-	}
-	cacheStats := stats["cache"].(map[string]any)
-	for _, field := range []string{"carried", "carry_dropped"} {
-		if _, ok := cacheStats[field]; !ok {
-			t.Fatalf("statsz cache block missing %q: %v", field, cacheStats)
-		}
+	if got := metric(t, samples, "simrankd_delta_commits_total", nil); got == 0 {
+		t.Fatal("delta_commits_total = 0 after a committed removal")
 	}
 
 	metrics := doReq(s, "GET", "/metricsz", "").Body.String()

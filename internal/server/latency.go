@@ -1,7 +1,6 @@
 package server
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 )
@@ -31,9 +30,8 @@ var latencyBoundsMs = func() [latencyBucketCount - 1]float64 {
 	return b
 }()
 
-// LatencyBucketsMs exposes the bucket upper bounds (ms) once per stats
-// snapshot; every histogram's Counts array aligns with it, with one
-// extra trailing overflow bucket.
+// LatencyBucketsMs returns a copy of the bucket upper bounds (ms); every
+// histogram's counts align with it, plus one trailing overflow bucket.
 func LatencyBucketsMs() []float64 {
 	out := make([]float64, len(latencyBoundsMs))
 	copy(out, latencyBoundsMs[:])
@@ -70,99 +68,18 @@ func (h *latencyHist) observe(d time.Duration) {
 	h.sumNanos.Add(uint64(d))
 }
 
-// HistogramSnapshot is the JSON form of one (endpoint, path) histogram.
-// Counts aligns with the top-level latency_buckets_ms bounds plus a
-// final overflow bucket. Percentiles are estimated by linear
-// interpolation inside the containing bucket, so they carry bucket-width
-// error — for exact client-side numbers use simload, which times every
-// request individually.
-type HistogramSnapshot struct {
-	Count  uint64   `json:"count"`
-	MeanMs float64  `json:"mean_ms"`
-	P50Ms  float64  `json:"p50_ms"`
-	P90Ms  float64  `json:"p90_ms"`
-	P99Ms  float64  `json:"p99_ms"`
-	Counts []uint64 `json:"counts"`
-}
-
-// snapshot returns nil when nothing was recorded, so idle paths are
-// omitted from /statsz instead of rendering 22 zeroes.
-func (h *latencyHist) snapshot() *HistogramSnapshot {
-	total := h.total.Load()
-	if total == 0 {
-		return nil
+// load returns the per-bucket counts and the summed duration in
+// milliseconds, or nil counts when nothing was recorded, so idle paths
+// are omitted from /metricsz instead of rendering 22 zeroes.
+func (h *latencyHist) load() (counts []uint64, sumMs float64) {
+	if h.total.Load() == 0 {
+		return nil, 0
 	}
-	s := &HistogramSnapshot{
-		Count:  total,
-		MeanMs: float64(h.sumNanos.Load()) / float64(total) / 1e6,
-		Counts: make([]uint64, latencyBucketCount),
-	}
+	counts = make([]uint64, latencyBucketCount)
 	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
+		counts[i] = h.counts[i].Load()
 	}
-	// Concurrent observes can make the per-bucket sum drift from the
-	// loaded total; quantiles use the sum actually captured.
-	var captured uint64
-	for _, c := range s.Counts {
-		captured += c
-	}
-	if captured == 0 {
-		return nil
-	}
-	s.Count = captured
-	s.P50Ms = histQuantile(s.Counts, captured, 0.50)
-	s.P90Ms = histQuantile(s.Counts, captured, 0.90)
-	s.P99Ms = histQuantile(s.Counts, captured, 0.99)
-	return s
-}
-
-// histQuantile estimates quantile q from bucket counts as an order
-// statistic: the quantile sample has rank ceil(q·total) (clamped to
-// [1, total]), and a sample that is the j-th of c in its bucket is
-// placed at the bucket midpoint position (j−0.5)/c — the unbiased spot
-// under the uniform-within-bucket assumption. This keeps every estimate
-// strictly inside its bucket: the previous formula interpolated with the
-// raw rank q·total, so a lone sample sitting exactly on a bucket edge
-// fanned out across the whole bucket as q varied, and the overflow
-// bucket fabricated a finite width of lo·2. The overflow bucket has no
-// upper bound, so an estimate landing there reports the last finite
-// bound — a clearly-labeled lower bound rather than an invented value.
-func histQuantile(counts []uint64, total uint64, q float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	rank := math.Ceil(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > float64(total) {
-		rank = float64(total)
-	}
-	cum := 0.0
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if cum+float64(c) >= rank {
-			if i >= len(latencyBoundsMs) {
-				return latencyBoundsMs[len(latencyBoundsMs)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = latencyBoundsMs[i-1]
-			}
-			hi := latencyBoundsMs[i]
-			frac := (rank - cum - 0.5) / float64(c)
-			if frac < 0 {
-				frac = 0
-			} else if frac > 1 {
-				frac = 1
-			}
-			return lo + frac*(hi-lo)
-		}
-		cum += float64(c)
-	}
-	return latencyBoundsMs[len(latencyBoundsMs)-1]
+	return counts, float64(h.sumNanos.Load()) / 1e6
 }
 
 // Serving paths a request can resolve through. Engine latencies include
@@ -173,32 +90,8 @@ const (
 	pathCount
 )
 
-// EndpointLatency pairs the two path histograms of one endpoint.
-type EndpointLatency struct {
-	Engine   *HistogramSnapshot `json:"engine,omitempty"`
-	CacheHit *HistogramSnapshot `json:"cache_hit,omitempty"`
-}
-
 // observeLatency records one successful request's duration under its
 // endpoint and serving path.
 func (s *Server) observeLatency(kind, path int, d time.Duration) {
 	s.lat[kind][path].observe(d)
-}
-
-// latencyStats assembles the /statsz latency block: endpoint →
-// {engine, cache_hit}, omitting endpoints that served nothing.
-func (s *Server) latencyStats() map[string]*EndpointLatency {
-	out := make(map[string]*EndpointLatency)
-	for kind := range s.lat {
-		engine := s.lat[kind][pathEngine].snapshot()
-		cached := s.lat[kind][pathCache].snapshot()
-		if engine == nil && cached == nil {
-			continue
-		}
-		out[kindNames[kind]] = &EndpointLatency{Engine: engine, CacheHit: cached}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }

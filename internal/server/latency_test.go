@@ -33,115 +33,28 @@ func TestBucketForBounds(t *testing.T) {
 	}
 }
 
-func TestHistogramSnapshotQuantiles(t *testing.T) {
+func TestHistogramLoad(t *testing.T) {
 	var h latencyHist
-	if h.snapshot() != nil {
-		t.Fatal("empty histogram must snapshot to nil")
+	if counts, _ := h.load(); counts != nil {
+		t.Fatal("empty histogram must load as nil")
 	}
-	// 90 fast observations at 1ms, 10 slow at 100ms: p50 must sit in the
-	// fast bucket, p99 in the slow one.
+	// 90 fast observations at 1ms, 10 slow at 100ms land in their own
+	// buckets, and the sum is exact.
 	for i := 0; i < 90; i++ {
 		h.observe(time.Millisecond)
 	}
 	for i := 0; i < 10; i++ {
 		h.observe(100 * time.Millisecond)
 	}
-	s := h.snapshot()
-	if s == nil || s.Count != 100 {
-		t.Fatalf("snapshot = %+v, want count 100", s)
+	counts, sumMs := h.load()
+	if len(counts) != latencyBucketCount {
+		t.Fatalf("counts length %d, want %d", len(counts), latencyBucketCount)
 	}
-	wantMean := (90*1.0 + 10*100.0) / 100
-	if math.Abs(s.MeanMs-wantMean) > 0.01 {
-		t.Errorf("mean = %.3f ms, want %.3f", s.MeanMs, wantMean)
+	if counts[bucketFor(time.Millisecond)] != 90 || counts[bucketFor(100*time.Millisecond)] != 10 {
+		t.Errorf("counts = %v, want 90 in the 1ms bucket and 10 in the 100ms bucket", counts)
 	}
-	if s.P50Ms <= 0 || s.P50Ms > 1.6 {
-		t.Errorf("p50 = %.3f ms, want within the ≤1.6ms bucket", s.P50Ms)
-	}
-	if s.P99Ms < 51.2 || s.P99Ms > 102.4 {
-		t.Errorf("p99 = %.3f ms, want inside the (51.2, 102.4] bucket", s.P99Ms)
-	}
-	if s.P50Ms > s.P90Ms || s.P90Ms > s.P99Ms {
-		t.Errorf("quantiles not monotone: p50 %.3f p90 %.3f p99 %.3f", s.P50Ms, s.P90Ms, s.P99Ms)
-	}
-	if len(s.Counts) != latencyBucketCount {
-		t.Errorf("counts length %d, want %d", len(s.Counts), latencyBucketCount)
-	}
-}
-
-func TestHistQuantileSingleBucket(t *testing.T) {
-	var h latencyHist
-	h.observe(500 * time.Microsecond)
-	s := h.snapshot()
-	if s == nil {
-		t.Fatal("nil snapshot after observe")
-	}
-	// One sample in the (0.4, 0.8] bucket: every quantile must stay inside.
-	for _, q := range []float64{s.P50Ms, s.P90Ms, s.P99Ms} {
-		if q <= 0.4 || q > 0.8 {
-			t.Errorf("quantile %.3f ms outside its only occupied bucket (0.4, 0.8]", q)
-		}
-	}
-}
-
-// TestHistQuantileBoundarySample pins the order-statistic estimator on
-// the degenerate inputs the old interpolation got wrong: a lone sample
-// exactly on a bucket's upper edge must give the same in-bucket estimate
-// for every quantile (there is only one sample — the quantile cannot
-// depend on q), and it must stay strictly inside the bucket.
-func TestHistQuantileBoundarySample(t *testing.T) {
-	var h latencyHist
-	h.observe(100 * time.Microsecond) // exactly the first bucket's bound
-	s := h.snapshot()
-	if s == nil {
-		t.Fatal("nil snapshot after observe")
-	}
-	want := 0.05 // midpoint of (0, 0.1]
-	for name, q := range map[string]float64{"p50": s.P50Ms, "p90": s.P90Ms, "p99": s.P99Ms} {
-		if math.Abs(q-want) > 1e-9 {
-			t.Errorf("%s = %.4f ms, want the bucket midpoint %.4f for a single sample", name, q, want)
-		}
-	}
-}
-
-// TestHistQuantileOverflowBucket: the overflow bucket has no upper
-// bound, so quantiles landing there must report the last finite bound
-// (a lower bound), not a fabricated interpolation beyond it.
-func TestHistQuantileOverflowBucket(t *testing.T) {
-	var h latencyHist
-	h.observe(time.Hour)
-	s := h.snapshot()
-	if s == nil {
-		t.Fatal("nil snapshot after observe")
-	}
-	last := latencyBoundsMs[len(latencyBoundsMs)-1]
-	for name, q := range map[string]float64{"p50": s.P50Ms, "p99": s.P99Ms} {
-		if q != last {
-			t.Errorf("%s = %.4f ms, want the last finite bound %.4f", name, q, last)
-		}
-	}
-}
-
-// TestHistQuantileTwoSamples: with one sample in each of the first two
-// buckets, p50 selects the first sample (rank ceil(0.5·2)=1) at its
-// bucket midpoint, and higher quantiles move monotonically into the
-// second bucket.
-func TestHistQuantileTwoSamples(t *testing.T) {
-	counts := make([]uint64, latencyBucketCount)
-	counts[0], counts[1] = 1, 1
-	if got := histQuantile(counts, 2, 0.50); math.Abs(got-0.05) > 1e-9 {
-		t.Errorf("p50 = %.4f, want 0.05 (midpoint of the first bucket)", got)
-	}
-	if got := histQuantile(counts, 2, 0.99); got <= 0.1 || got > 0.2 {
-		t.Errorf("p99 = %.4f, want inside the second bucket (0.1, 0.2]", got)
-	}
-	// Monotone in q across the bucket boundary.
-	prev := 0.0
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.99} {
-		v := histQuantile(counts, 2, q)
-		if v < prev {
-			t.Errorf("quantile decreased: q=%.2f gave %.4f after %.4f", q, v, prev)
-		}
-		prev = v
+	if want := 90*1.0 + 10*100.0; math.Abs(sumMs-want) > 1e-6 {
+		t.Errorf("sum = %.3f ms, want %.3f", sumMs, want)
 	}
 }
 

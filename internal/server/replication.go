@@ -83,12 +83,6 @@ func (l *repLog) wait() <-chan struct{} {
 	return l.wake
 }
 
-func (l *repLog) len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
-}
-
 // collect returns the entries with epoch > since, in order. ok is false
 // when the log no longer reaches back to since+1 — the caller is behind
 // the retained window and cannot be served incrementally.
@@ -140,49 +134,17 @@ func (r *replication) lastError() string {
 	return r.lastErr
 }
 
-// ReplicationStats is the /statsz replication block (present when the
-// server runs with a leader or follower role).
-type ReplicationStats struct {
-	Role         Role   `json:"role"`
-	LeaderEpoch  uint64 `json:"leader_epoch"`
-	AppliedEpoch uint64 `json:"applied_epoch"`
-	Lag          int64  `json:"lag"`
-	Synced       bool   `json:"synced"`
-	Diverged     bool   `json:"diverged,omitempty"`
-	LogLen       int    `json:"log_len,omitempty"`
-	LastError    string `json:"last_error,omitempty"`
-}
-
-// replicationStats assembles the /statsz block; nil for standalone.
-func (s *Server) replicationStats() *ReplicationStats {
-	switch s.rep.role {
-	case RoleLeader:
-		epoch := s.dyn.Epoch()
-		return &ReplicationStats{
-			Role:         RoleLeader,
-			LeaderEpoch:  epoch,
-			AppliedEpoch: epoch,
-			Synced:       true,
-			LogLen:       s.rep.log.len(),
-		}
-	case RoleFollower:
-		applied := s.dyn.Epoch()
-		leader := s.rep.leaderEpoch.Load()
-		if leader < applied {
-			leader = applied
-		}
-		return &ReplicationStats{
-			Role:         RoleFollower,
-			LeaderEpoch:  leader,
-			AppliedEpoch: applied,
-			Lag:          int64(leader - applied),
-			Synced:       s.rep.synced.Load(),
-			Diverged:     s.rep.diverged.Load(),
-			LastError:    s.rep.lastError(),
-		}
-	default:
-		return nil
+// lag is how many epochs a follower trails the highest leader epoch it
+// has seen; 0 on every other role.
+func (s *Server) lag() uint64 {
+	if s.rep.role != RoleFollower {
+		return 0
 	}
+	applied := s.dyn.Epoch()
+	if leader := s.rep.leaderEpoch.Load(); leader > applied {
+		return leader - applied
+	}
+	return 0
 }
 
 // applyLeaderBatch commits one mutation batch on a leader: apply + epoch

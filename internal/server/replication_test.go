@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/simrank/simpush"
+	"github.com/simrank/simpush/internal/obs"
 )
 
 // newLeaderServer builds a leader over a deterministic test graph.
@@ -41,7 +42,7 @@ func TestRepLogCollectAndTrim(t *testing.T) {
 	for e := uint64(2); e <= 6; e++ { // epochs 2..6; cap 3 keeps 4,5,6
 		l.append(repEntry{Epoch: e})
 	}
-	if got := l.len(); got != 3 {
+	if got := len(l.entries); got != 3 {
 		t.Fatalf("log len = %d, want 3", got)
 	}
 	if entries, ok := l.collect(3, 6); !ok || len(entries) != 3 || entries[0].Epoch != 4 {
@@ -175,11 +176,12 @@ func TestFollowerConvergesToLeader(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if rec := doReq(follower, http.MethodGet, "/healthz", ""); rec.Code == 200 {
+		rec := doReq(follower, http.MethodGet, "/healthz", "")
+		if rec.Code == 200 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("follower never caught up: %+v", follower.replicationStats())
+			t.Fatalf("follower never caught up: %s", rec.Body)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -219,13 +221,22 @@ func TestFollowerConvergesToLeader(t *testing.T) {
 		}
 	}
 
-	// Replication stats reflect the steady state.
-	stats := follower.replicationStats()
-	if stats.Role != RoleFollower || stats.Lag != 0 || !stats.Synced {
-		t.Fatalf("follower stats = %+v, want synced role=follower lag=0", stats)
+	// The probe surfaces reflect the steady state.
+	if h := decodeBody(t, doReq(follower, http.MethodGet, "/healthz", "")); h["role"] != "follower" ||
+		h["lag"] != float64(0) || h["epoch"] != float64(wantEpoch) {
+		t.Fatalf("follower healthz = %v, want role=follower lag=0 epoch=%d", h, wantEpoch)
 	}
-	if lstats := leader.replicationStats(); lstats.Role != RoleLeader || lstats.LogLen != 4 {
-		t.Fatalf("leader stats = %+v, want role=leader log_len=4", lstats)
+	if metric(t, scrape(t, follower), "simrankd_replication_synced", nil) != 1 {
+		t.Fatal("synced follower reports simrankd_replication_synced 0")
+	}
+	if h := decodeBody(t, doReq(leader, http.MethodGet, "/healthz", "")); h["role"] != "leader" || h["lag"] != float64(0) {
+		t.Fatalf("leader healthz = %v, want role=leader lag=0", h)
+	}
+	leader.rep.log.mu.Lock()
+	logLen := len(leader.rep.log.entries)
+	leader.rep.log.mu.Unlock()
+	if logLen != 4 {
+		t.Fatalf("leader log holds %d batches, want 4", logLen)
 	}
 }
 
@@ -260,17 +271,24 @@ func TestFollowerBehindTrimmedLogDiverges(t *testing.T) {
 	}
 }
 
-// TestStatszReplicationBlock: standalone omits the block; leader and
-// follower report it.
-func TestStatszReplicationBlock(t *testing.T) {
+// TestHealthzReplicationFields: every role's /healthz names the role,
+// epoch, graph size, lag and in-flight work the proxy's prober routes
+// by; only replicated roles expose the replication gauges on /metricsz.
+func TestHealthzReplicationFields(t *testing.T) {
 	s, _ := newDynamicServer(t, Config{})
-	if body := decodeBody(t, doReq(s, http.MethodGet, "/statsz", "")); body["replication"] != nil {
-		t.Fatalf("standalone statsz has replication block: %v", body["replication"])
+	h := decodeBody(t, doReq(s, http.MethodGet, "/healthz", ""))
+	if h["status"] != "ok" || h["role"] != "standalone" || h["lag"] != float64(0) ||
+		h["n"] != float64(testGraph(t).N()) || h["in_flight"] != float64(0) {
+		t.Fatalf("standalone healthz = %v", h)
+	}
+	if _, ok := obs.FindSample(scrape(t, s), "simrankd_replication_lag", nil); ok {
+		t.Fatal("standalone /metricsz has replication gauges")
 	}
 	l := newLeaderServer(t, Config{})
-	body := decodeBody(t, doReq(l, http.MethodGet, "/statsz", ""))
-	repBlock, ok := body["replication"].(map[string]any)
-	if !ok || repBlock["role"] != "leader" {
-		t.Fatalf("leader statsz replication = %v", body["replication"])
+	if h := decodeBody(t, doReq(l, http.MethodGet, "/healthz", "")); h["role"] != "leader" || h["epoch"] != float64(1) {
+		t.Fatalf("leader healthz = %v, want role=leader at the base epoch 1", h)
+	}
+	if metric(t, scrape(t, l), "simrankd_replication_lag", nil) != 0 {
+		t.Fatal("leader reports nonzero replication lag")
 	}
 }

@@ -210,28 +210,25 @@ type Server struct {
 	ring   *obs.Ring    // last-N completed traces (nil = disabled)
 	logger *slog.Logger // slow-query and serving logs
 
-	requests   atomic.Uint64
 	errors     atomic.Uint64 // responses with status >= 400
 	byKind     [kindCount]atomic.Uint64
 	lat        [kindCount][pathCount]latencyHist
 	lastEpoch  atomic.Uint64             // highest epoch seen; drives opportunistic sweeps
 	stageNanos [stageCount]atomic.Uint64 // cumulative engine-stage wall time
 
-	// Epoch-delta carry-forward state (see delta.go). The resolved depth,
-	// budget and engine options are written once in New and read-only
+	// Epoch-delta carry-forward state (see delta.go). The resolved depth
+	// and engine options are written once in New and read-only
 	// afterwards; the counters are updated by the commit hook.
 	engineOpts        simpush.Options
 	deltaDepth        int
-	deltaBudget       int
 	carryDefaultSafe  bool
 	deltas            atomic.Uint64
 	deltaTotals       atomic.Uint64
 	deltaAffectedLast atomic.Uint64
-	deltaAffectedSum  atomic.Uint64
 }
 
 // Engine stage indices for the cumulative stage-time counters surfaced
-// in /statsz and /metricsz; order matches simpush.StageDurations.
+// in /metricsz; order matches simpush.StageDurations.
 const (
 	stageWalk = iota
 	stageSourcePush
@@ -261,15 +258,14 @@ const (
 	kEdges
 	kReplication
 	kHealth
-	kStats
 	kMetrics
 	kDebug
 	kindCount
 )
 
 var kindNames = [kindCount]string{
-	"single-source", "topk", "pair", "batch", "edges", "replication", "healthz", "statsz",
-	"metricsz", "debug-queries",
+	"single-source", "topk", "pair", "batch", "edges", "replication", "healthz", "metricsz",
+	"debug-queries",
 }
 
 // New builds a Server around an existing Client. If the client's graph
@@ -332,7 +328,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/v1/edges", s.count(kEdges, s.handleEdges))
 	s.mux.HandleFunc("/v1/replication", s.count(kReplication, s.handleReplication))
 	s.mux.HandleFunc("/healthz", s.count(kHealth, s.handleHealthz))
-	s.mux.HandleFunc("/statsz", s.count(kStats, s.handleStatsz))
 	s.mux.HandleFunc("/metricsz", s.count(kMetrics, s.handleMetricsz))
 	s.mux.HandleFunc("/debug/queries", s.count(kDebug, s.handleDebugQueries))
 	return s, nil
@@ -353,7 +348,7 @@ func (s *Server) Drain() { s.draining.Store(true) }
 // Draining reports whether Drain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Cache exposes the result cache (used by tests and stats).
+// Cache exposes the result cache, for tests that read its counters.
 func (s *Server) Cache() *cache.Cache { return s.cache }
 
 // tracing reports whether requests record spans (ring or slow-query log
@@ -371,7 +366,6 @@ func (s *Server) tracing() bool {
 func (s *Server) count(kind int, h http.HandlerFunc) http.HandlerFunc {
 	traced := kind <= kEdges // query endpoints only; probes stay out of the ring
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.requests.Add(1)
 		s.byKind[kind].Add(1)
 		sw := &statusWriter{ResponseWriter: w, server: s}
 		id := obs.SanitizeRequestID(r.Header.Get(obs.RequestIDHeader))
@@ -450,112 +444,6 @@ func (s *Server) noteEpoch(epoch uint64) {
 	}
 }
 
-// StatsSnapshot is the /statsz payload.
-type StatsSnapshot struct {
-	UptimeSeconds float64           `json:"uptime_seconds"`
-	Epoch         uint64            `json:"epoch"`
-	GraphN        int32             `json:"graph_n"`
-	GraphM        int64             `json:"graph_m"`
-	Draining      bool              `json:"draining"`
-	Requests      uint64            `json:"requests"`
-	ErrorCount    uint64            `json:"error_responses"`
-	ByEndpoint    map[string]uint64 `json:"requests_by_endpoint"`
-	Cache         cache.Stats       `json:"cache"`
-	Admission     AdmissionStats    `json:"admission"`
-	Client        ClientStats       `json:"client"`
-	Replication   *ReplicationStats `json:"replication,omitempty"`
-	Delta         *DeltaCarryStats  `json:"delta,omitempty"`
-
-	// GraphDiscardedDeletions counts RemoveEdge calls naming a
-	// never-existing edge that the dynamic source discarded after failing
-	// exactly one snapshot — silent no-ops surfaced for operators. Always
-	// 0 for static sources.
-	GraphDiscardedDeletions uint64 `json:"graph_discarded_deletions"`
-
-	// EngineStageSeconds is the cumulative engine wall time by stage
-	// (walk, source_push, gamma, reverse_push) over every computed query.
-	EngineStageSeconds map[string]float64 `json:"engine_stage_seconds"`
-
-	// LatencyBucketsMs holds the shared histogram bucket upper bounds
-	// (ms); every histogram under Latency appends one overflow bucket.
-	// Both fields are omitted until the server has served a request.
-	LatencyBucketsMs []float64                   `json:"latency_buckets_ms,omitempty"`
-	Latency          map[string]*EndpointLatency `json:"latency,omitempty"`
-}
-
-// AdmissionStats describes the admission controller's current state.
-type AdmissionStats struct {
-	MaxInFlight int    `json:"max_in_flight"`
-	InFlight    int    `json:"in_flight"`
-	MaxQueue    int    `json:"max_queue"`
-	QueueDepth  int64  `json:"queue_depth"`
-	Rejected    uint64 `json:"rejected"`
-	// Waits counts acquisitions that found no free slot and queued;
-	// WaitTotalSeconds is their cumulative queueing time.
-	Waits            uint64  `json:"waits"`
-	WaitTotalSeconds float64 `json:"wait_total_seconds"`
-	// AvgServiceMs is the observed mean engine-slot occupancy time, and
-	// RetryAfterS the Retry-After a 429 issued right now would carry
-	// (backlog ÷ observed service rate, clamped).
-	AvgServiceMs float64 `json:"avg_service_ms"`
-	RetryAfterS  int     `json:"retry_after_s"`
-}
-
-// ClientStats mirrors simpush.ClientStats with JSON tags.
-type ClientStats struct {
-	Queries  uint64 `json:"queries"`
-	Errors   uint64 `json:"errors"`
-	InFlight int64  `json:"in_flight"`
-}
-
-// Stats assembles a point-in-time snapshot of every serving counter.
-func (s *Server) Stats() StatsSnapshot {
-	g := s.client.Graph()
-	cs := s.client.Stats()
-	snap := StatsSnapshot{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Epoch:         s.lastEpoch.Load(),
-		Draining:      s.draining.Load(),
-		Requests:      s.requests.Load(),
-		ErrorCount:    s.errors.Load(),
-		ByEndpoint:    make(map[string]uint64, kindCount),
-		Cache:         s.cache.Stats(),
-		Admission: AdmissionStats{
-			MaxInFlight:      s.cfg.MaxInFlight,
-			InFlight:         s.adm.inFlight(),
-			MaxQueue:         s.cfg.MaxQueue,
-			QueueDepth:       s.adm.queueDepth(),
-			Rejected:         s.adm.rejected.Load(),
-			Waits:            s.adm.waits.Load(),
-			WaitTotalSeconds: float64(s.adm.waitNanos.Load()) / 1e9,
-			AvgServiceMs:     float64(s.adm.avgServiceNanos()) / 1e6,
-			RetryAfterS:      s.adm.estimateRetryAfter(s.cfg.RetryAfter, maxRetryAfterSec),
-		},
-		Client:      ClientStats{Queries: cs.Queries, Errors: cs.Errors, InFlight: cs.InFlight},
-		Replication: s.replicationStats(),
-		Delta:       s.deltaStats(),
-	}
-	if s.dyn != nil {
-		snap.GraphDiscardedDeletions = s.dyn.DiscardedDeletions()
-	}
-	if g != nil {
-		snap.GraphN = g.N()
-		snap.GraphM = g.M()
-	}
-	for i, name := range kindNames {
-		snap.ByEndpoint[name] = s.byKind[i].Load()
-	}
-	snap.EngineStageSeconds = make(map[string]float64, stageCount)
-	for i, name := range stageNames {
-		snap.EngineStageSeconds[name] = float64(s.stageNanos[i].Load()) / 1e9
-	}
-	if lat := s.latencyStats(); lat != nil {
-		snap.Latency = lat
-		snap.LatencyBucketsMs = LatencyBucketsMs()
-	}
-	return snap
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeMethodNotAllowed(w, http.MethodGet)
@@ -584,22 +472,34 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	epoch, err := s.client.Epoch()
+	view, err := s.client.View(r.Context())
 	if err != nil {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "degraded", "error": err.Error(),
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "epoch": epoch, "role": s.role()})
+	writeJSON(w, http.StatusOK, Health{
+		Status:   "ok",
+		Role:     s.role(),
+		Epoch:    view.Epoch(),
+		N:        view.Graph().N(),
+		Lag:      s.lag(),
+		InFlight: s.adm.inFlight(),
+	})
 }
 
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeMethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Stats())
+// Health is the 200 body of GET /healthz: everything a router needs to
+// decide where reads may go, in one response. Lag is nonzero only on a
+// follower that trails the highest leader epoch it has seen; InFlight
+// counts engine computations holding an admission slot.
+type Health struct {
+	Status   string `json:"status"`
+	Role     Role   `json:"role"`
+	Epoch    uint64 `json:"epoch"`
+	N        int32  `json:"n"`
+	Lag      uint64 `json:"lag"`
+	InFlight int    `json:"in_flight"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/simrank/simpush"
+	"github.com/simrank/simpush/internal/obs"
 )
 
 func newClient(t *testing.T, src simpush.GraphSource) *simpush.Client {
@@ -68,6 +69,31 @@ func doReq(s *Server, method, target, body string) *httptest.ResponseRecorder {
 	return rec
 }
 
+// scrape reads the server's /metricsz and parses it.
+func scrape(t *testing.T, s *Server) []obs.Sample {
+	t.Helper()
+	rec := doReq(s, "GET", "/metricsz", "")
+	if rec.Code != 200 {
+		t.Fatalf("/metricsz = %d", rec.Code)
+	}
+	samples, err := obs.ParseProm(rec.Body)
+	if err != nil {
+		t.Fatalf("parsing /metricsz: %v", err)
+	}
+	return samples
+}
+
+// metric returns the value of one scraped series, failing the test when
+// the series is absent.
+func metric(t *testing.T, samples []obs.Sample, name string, labels map[string]string) float64 {
+	t.Helper()
+	v, ok := obs.FindSample(samples, name, labels)
+	if !ok {
+		t.Fatalf("/metricsz has no series %s%v", name, labels)
+	}
+	return v
+}
+
 func decodeBody(t *testing.T, rec *httptest.ResponseRecorder) map[string]any {
 	t.Helper()
 	var m map[string]any
@@ -112,7 +138,7 @@ func TestHandlerTable(t *testing.T) {
 		{"edges on static source", "POST", "/v1/edges", `{"from":1,"to":2}`, 501, "static_source"},
 		{"edges method mismatch", "GET", "/v1/edges", "", 405, "method_not_allowed"},
 		{"healthz method mismatch", "POST", "/healthz", "", 405, "method_not_allowed"},
-		{"statsz method mismatch", "DELETE", "/statsz", "", 405, "method_not_allowed"},
+		{"metricsz method mismatch", "DELETE", "/metricsz", "", 405, "method_not_allowed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -214,39 +240,35 @@ func TestQueryEndpointsServe(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("healthz: %d", rec.Code)
 	}
-	rec = doReq(s, "GET", "/statsz", "")
-	if rec.Code != 200 {
-		t.Fatalf("statsz: %d", rec.Code)
-	}
-	var stats StatsSnapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Requests == 0 || stats.Client.Queries == 0 {
-		t.Fatalf("statsz counters empty: %+v", stats)
+	samples := scrape(t, s)
+	if metric(t, samples, "simrankd_requests_total", map[string]string{"endpoint": "single-source"}) == 0 ||
+		metric(t, samples, "simrankd_client_queries_total", nil) == 0 {
+		t.Fatal("/metricsz counters empty after traffic")
 	}
 
-	// The latency block must be present after traffic, with the engine and
-	// cache-hit paths separated: single-source served both a computed and a
-	// cached request above.
-	if len(stats.LatencyBucketsMs) != latencyBucketCount-1 {
-		t.Fatalf("latency_buckets_ms has %d bounds, want %d", len(stats.LatencyBucketsMs), latencyBucketCount-1)
+	// The latency histograms must be live after traffic, with the engine
+	// and cache-hit paths separated: single-source served both a computed
+	// and a cached request above.
+	buckets := 0
+	for _, sm := range samples {
+		if sm.Name == "simrankd_request_duration_seconds_bucket" &&
+			sm.Labels["endpoint"] == "single-source" && sm.Labels["path"] == "engine" && sm.Labels["le"] != "+Inf" {
+			buckets++
+		}
 	}
-	ss := stats.Latency["single-source"]
-	if ss == nil || ss.Engine == nil || ss.Engine.Count == 0 {
-		t.Fatalf("single-source engine histogram missing: %+v", stats.Latency)
+	if buckets != latencyBucketCount-1 {
+		t.Fatalf("single-source engine histogram has %d finite buckets, want %d", buckets, latencyBucketCount-1)
 	}
-	if ss.CacheHit == nil || ss.CacheHit.Count == 0 {
-		t.Fatalf("single-source cache-hit histogram missing: %+v", ss)
+	for _, ep := range []struct{ endpoint, path string }{
+		{"single-source", "engine"}, {"single-source", "cache"}, {"batch", "engine"}, {"topk", "engine"},
+	} {
+		if metric(t, samples, "simrankd_request_duration_seconds_count",
+			map[string]string{"endpoint": ep.endpoint, "path": ep.path}) == 0 {
+			t.Fatalf("%s %s-path histogram is empty", ep.endpoint, ep.path)
+		}
 	}
-	if ss.Engine.P99Ms < ss.Engine.P50Ms {
-		t.Fatalf("engine p99 %.3f below p50 %.3f", ss.Engine.P99Ms, ss.Engine.P50Ms)
-	}
-	if stats.Latency["batch"] == nil || stats.Latency["topk"] == nil {
-		t.Fatalf("batch/topk latency missing: %+v", stats.Latency)
-	}
-	if stats.Admission.AvgServiceMs <= 0 || stats.Admission.RetryAfterS < 1 {
-		t.Fatalf("admission service stats not populated: %+v", stats.Admission)
+	if s.adm.avgServiceNanos() == 0 || metric(t, samples, "simrankd_admission_retry_after_seconds", nil) < 1 {
+		t.Fatal("admission service rate and retry-after not populated")
 	}
 }
 

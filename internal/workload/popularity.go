@@ -35,9 +35,9 @@ func (u uniformSampler) sample(rng *rnd.Source) (int32, bool) {
 	return rng.Int31n(u.n), false
 }
 
-// hotsetSampler mirrors the historical simbench -http workload: a draw
-// comes uniformly from the hot prefix [0, hot) with probability hotFrac,
-// otherwise uniformly from the whole graph.
+// hotsetSampler models a hot working set: a draw comes uniformly from
+// the hot prefix [0, hot) with probability hotFrac, otherwise uniformly
+// from the whole graph.
 type hotsetSampler struct {
 	n, hot  int32
 	hotFrac float64

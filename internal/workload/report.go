@@ -36,8 +36,7 @@ type SLOResult struct {
 	Pass            bool    `json:"pass"`
 }
 
-// CacheDelta is the server-side cache movement over the run window,
-// from /statsz before/after.
+// CacheDelta is the server-side cache movement over the run window.
 type CacheDelta struct {
 	Hits      uint64  `json:"hits"`
 	Misses    uint64  `json:"misses"`
@@ -45,19 +44,21 @@ type CacheDelta struct {
 	HitRate   float64 `json:"hit_rate"`
 }
 
-// MetricsDelta is the server-side movement over the run window as seen
-// through /metricsz — where the engine spent its time and how hard
-// admission had to work, counters /statsz does not break out. simload
-// scrapes the target before and after each scenario and attaches the
-// difference; nil when the target does not expose /metricsz.
+// ServerCounters is a simrankd target's counter movement over the run
+// window, from one /metricsz scrape before the run and one after.
+type ServerCounters struct {
+	Cache             CacheDelta   `json:"cache"`
+	EngineQueries     uint64       `json:"engine_queries"`
+	AdmissionRejected uint64       `json:"admission_rejected"`
+	Metrics           MetricsDelta `json:"metrics_delta"`
+}
+
+// MetricsDelta is where the engine spent its time and how hard
+// admission had to work over the run window.
 type MetricsDelta struct {
 	EngineStageSeconds   map[string]float64 `json:"engine_stage_seconds,omitempty"`
-	EngineQueries        uint64             `json:"engine_queries"`
 	AdmissionWaits       uint64             `json:"admission_waits"`
 	AdmissionWaitSeconds float64            `json:"admission_wait_seconds"`
-	AdmissionRejected    uint64             `json:"admission_rejected"`
-	CacheHits            uint64             `json:"cache_hits"`
-	CacheMisses          uint64             `json:"cache_misses"`
 }
 
 // ClassReport is the per-traffic-class slice of a Report.
@@ -92,13 +93,13 @@ type Report struct {
 	Latency LatencySummary `json:"latency"`
 	SLO     SLOResult      `json:"slo"`
 
-	Cache             CacheDelta    `json:"cache"`
-	EngineQueries     uint64        `json:"engine_queries"`
-	EpochAdvances     uint64        `json:"epoch_advances"`
-	AdmissionRejected uint64        `json:"admission_rejected"`
-	ServerEpoch       uint64        `json:"server_epoch"`
-	Metrics           *MetricsDelta `json:"metrics_delta,omitempty"`
-	Classes           []ClassReport `json:"classes"`
+	EpochAdvances uint64 `json:"epoch_advances"`
+	ServerEpoch   uint64 `json:"server_epoch"`
+	// The embedded counter blocks are nil, and omitted from the JSON,
+	// against a simproxy: its /metricsz carries no cache or engine
+	// counters.
+	*ServerCounters
+	Classes []ClassReport `json:"classes"`
 }
 
 func percentile(sorted []float64, q float64) float64 {
@@ -122,8 +123,8 @@ func summarize(latsMs []float64) LatencySummary {
 	return s
 }
 
-// score builds the Report from raw samples plus the server stats delta.
-func score(spec *Spec, target string, elapsed time.Duration, samples []sample, before, after targetStats) *Report {
+// score builds the Report from raw samples plus the target's movement.
+func score(spec *Spec, target string, elapsed time.Duration, samples []sample, before, after targetState) *Report {
 	r := &Report{
 		Scenario:        spec.Name,
 		Description:     spec.Description,
@@ -203,21 +204,43 @@ func score(spec *Spec, target string, elapsed time.Duration, samples []sample, b
 	slo.Pass = r.OK > 0 && slo.P50WithinTarget && slo.P99WithinTarget && slo.AttainmentMet && slo.ErrorBudgetMet
 
 	// Server-side deltas.
-	hits := after.Cache.Hits - before.Cache.Hits
-	misses := after.Cache.Misses - before.Cache.Misses
-	r.Cache = CacheDelta{
-		Hits:      hits,
-		Misses:    misses,
-		Coalesced: after.Cache.Coalesced - before.Cache.Coalesced,
+	if after.epoch > before.epoch {
+		r.EpochAdvances = after.epoch - before.epoch
 	}
-	if hits+misses > 0 {
-		r.Cache.HitRate = float64(hits) / float64(hits+misses)
+	r.ServerEpoch = after.epoch
+	if b, a := before.counters, after.counters; b != nil && a != nil {
+		sc := &ServerCounters{
+			Cache: CacheDelta{
+				Hits:      c2u(a.hits - b.hits),
+				Misses:    c2u(a.misses - b.misses),
+				Coalesced: c2u(a.coalesced - b.coalesced),
+			},
+			EngineQueries:     c2u(a.queries - b.queries),
+			AdmissionRejected: c2u(a.rejected - b.rejected),
+			Metrics: MetricsDelta{
+				EngineStageSeconds:   make(map[string]float64, len(a.stages)),
+				AdmissionWaits:       c2u(a.waits - b.waits),
+				AdmissionWaitSeconds: max(a.waitSeconds-b.waitSeconds, 0),
+			},
+		}
+		if lookups := sc.Cache.Hits + sc.Cache.Misses; lookups > 0 {
+			sc.Cache.HitRate = float64(sc.Cache.Hits) / float64(lookups)
+		}
+		for name, v := range a.stages {
+			sc.Metrics.EngineStageSeconds[name] = max(v-b.stages[name], 0)
+		}
+		r.ServerCounters = sc
 	}
-	r.EngineQueries = after.Client.Queries - before.Client.Queries
-	r.EpochAdvances = after.Epoch - before.Epoch
-	r.AdmissionRejected = after.Admission.Rejected - before.Admission.Rejected
-	r.ServerEpoch = after.Epoch
 	return r
+}
+
+// c2u converts a counter difference to uint64, clamping the negative
+// deltas a mid-run restart would produce.
+func c2u(v float64) uint64 {
+	if v <= 0 {
+		return 0
+	}
+	return uint64(v)
 }
 
 // WriteSummary prints the human-readable one-scenario summary simload
@@ -236,9 +259,11 @@ func (r *Report) WriteSummary(w io.Writer) {
 	fmt.Fprintf(w, "  attainment %.1f%% <= %.0fms (target %.0f%%), errors %.2f%% (budget %.1f%%)\n",
 		r.SLO.AttainmentPct, r.SLO.SLO.AttainMs, r.SLO.SLO.AttainTargetPct,
 		r.SLO.ErrorPct, r.SLO.SLO.MaxErrorPct)
-	fmt.Fprintf(w, "  cache hit rate %.3f (%d hits / %d misses / %d coalesced), %d engine queries, %d epoch advances\n",
-		r.Cache.HitRate, r.Cache.Hits, r.Cache.Misses, r.Cache.Coalesced, r.EngineQueries, r.EpochAdvances)
-	if m := r.Metrics; m != nil {
+	fmt.Fprintf(w, "  %d epoch advances, server at epoch %d\n", r.EpochAdvances, r.ServerEpoch)
+	if r.ServerCounters != nil {
+		m := r.Metrics
+		fmt.Fprintf(w, "  cache hit rate %.3f (%d hits / %d misses / %d coalesced), %d engine queries\n",
+			r.Cache.HitRate, r.Cache.Hits, r.Cache.Misses, r.Cache.Coalesced, r.EngineQueries)
 		stages := make([]string, 0, len(m.EngineStageSeconds))
 		for name := range m.EngineStageSeconds {
 			stages = append(stages, name)

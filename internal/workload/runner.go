@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/simrank/simpush/internal/obs"
 	"github.com/simrank/simpush/internal/rnd"
 )
 
@@ -34,39 +35,86 @@ type RunOptions struct {
 	HTTPClient *http.Client
 }
 
-// targetStats is the subset of /statsz the runner reads. simproxy
-// mirrors these field names, so the same decode works against a single
-// daemon or a whole cluster.
-type targetStats struct {
-	GraphN int32  `json:"graph_n"`
-	Epoch  uint64 `json:"epoch"`
-	Cache  struct {
-		Hits      uint64 `json:"hits"`
-		Misses    uint64 `json:"misses"`
-		Coalesced uint64 `json:"coalesced"`
-	} `json:"cache"`
-	Client struct {
-		Queries uint64 `json:"queries"`
-	} `json:"client"`
-	Admission struct {
-		Rejected uint64 `json:"rejected"`
-	} `json:"admission"`
+// targetState is what the runner reads from the target around a run:
+// the graph size and epoch from /healthz (simrankd and simproxy both
+// report them) and, from a simrankd, its counters from /metricsz.
+type targetState struct {
+	n        int32
+	epoch    uint64
+	counters *counters // nil when /metricsz carries no simrankd counters (a simproxy)
 }
 
-func fetchTargetStats(client *http.Client, base string) (targetStats, error) {
-	var st targetStats
-	resp, err := client.Get(base + "/statsz")
+// counters is the slice of a simrankd /metricsz scrape the report's
+// counter blocks are computed from.
+type counters struct {
+	hits, misses, coalesced float64
+	queries, rejected       float64
+	waits, waitSeconds      float64
+	stages                  map[string]float64 // engine seconds by stage
+}
+
+func readTarget(client *http.Client, base string) (targetState, error) {
+	var st targetState
+	var health struct {
+		N     int32  `json:"n"`
+		Epoch uint64 `json:"epoch"`
+	}
+	body, err := getOK(client, base+"/healthz")
 	if err != nil {
 		return st, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("statsz: status %d", resp.StatusCode)
+	if err := json.Unmarshal(body, &health); err != nil {
+		return st, fmt.Errorf("decoding /healthz: %w", err)
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&st); err != nil {
+	st.n, st.epoch = health.N, health.Epoch
+
+	body, err = getOK(client, base+"/metricsz")
+	if err != nil {
 		return st, err
 	}
+	samples, err := obs.ParseProm(bytes.NewReader(body))
+	if err != nil {
+		return st, fmt.Errorf("parsing /metricsz: %w", err)
+	}
+	queries, ok := obs.FindSample(samples, "simrankd_client_queries_total", nil)
+	if !ok {
+		return st, nil
+	}
+	c := &counters{queries: queries, stages: make(map[string]float64)}
+	for _, s := range samples {
+		if s.Name == "simrankd_engine_stage_seconds_total" && s.Labels["stage"] != "" {
+			c.stages[s.Labels["stage"]] = s.Value
+		}
+	}
+	for name, v := range map[string]*float64{
+		"simrankd_cache_hits_total":             &c.hits,
+		"simrankd_cache_misses_total":           &c.misses,
+		"simrankd_cache_coalesced_total":        &c.coalesced,
+		"simrankd_admission_rejected_total":     &c.rejected,
+		"simrankd_admission_waits_total":        &c.waits,
+		"simrankd_admission_wait_seconds_total": &c.waitSeconds,
+	} {
+		*v, _ = obs.FindSample(samples, name, nil)
+	}
+	st.counters = c
 	return st, nil
+}
+
+// getOK fetches url and returns its body, failing on any status but 200.
+func getOK(client *http.Client, url string) ([]byte, error) {
+	resp, err := client.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
+	}
+	return body, nil
 }
 
 // Run executes the spec against the target and scores the result. The
@@ -91,12 +139,12 @@ func Run(ctx context.Context, spec *Spec, opt RunOptions) (*Report, error) {
 		client = &http.Client{Timeout: opt.Timeout}
 	}
 
-	before, err := fetchTargetStats(client, base)
+	before, err := readTarget(client, base)
 	if err != nil {
 		return nil, fmt.Errorf("workload: reaching target: %w", err)
 	}
-	if before.GraphN < 1 {
-		return nil, fmt.Errorf("workload: target reports an empty graph (n=%d)", before.GraphN)
+	if before.n < 1 {
+		return nil, fmt.Errorf("workload: target reports an empty graph (n=%d)", before.n)
 	}
 
 	closed, err := spec.closed()
@@ -107,18 +155,18 @@ func Run(ctx context.Context, spec *Spec, opt RunOptions) (*Report, error) {
 	rec := &recorder{}
 	start := time.Now()
 	if closed {
-		err = runClosed(ctx, spec, before.GraphN, base, client, rec)
+		err = runClosed(ctx, spec, before.n, base, client, rec)
 	} else {
-		err = runOpen(ctx, spec, before.GraphN, base, client, opt.MaxOutstanding, rec)
+		err = runOpen(ctx, spec, before.n, base, client, opt.MaxOutstanding, rec)
 	}
 	elapsed := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
 
-	after, err := fetchTargetStats(client, base)
+	after, err := readTarget(client, base)
 	if err != nil {
-		return nil, fmt.Errorf("workload: reading final stats: %w", err)
+		return nil, fmt.Errorf("workload: reading final counters: %w", err)
 	}
 	return score(spec, base, elapsed, rec.samples, before, after), nil
 }

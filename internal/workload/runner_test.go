@@ -2,11 +2,14 @@ package workload_test
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/simrank/simpush"
+	"github.com/simrank/simpush/internal/cluster"
 	"github.com/simrank/simpush/internal/server"
 	"github.com/simrank/simpush/internal/workload"
 )
@@ -107,8 +110,8 @@ func TestRunOpenLoopScoresSLO(t *testing.T) {
 	}
 }
 
-// TestRunClosedLoop drives the closed-loop mode (the simbench -http
-// shim's path): fixed workers, hot-set popularity, cache hits expected.
+// TestRunClosedLoop drives the closed-loop mode: fixed workers, hot-set
+// popularity, cache hits expected.
 func TestRunClosedLoop(t *testing.T) {
 	base := newTestTarget(t)
 	spec := &workload.Spec{
@@ -133,6 +136,55 @@ func TestRunClosedLoop(t *testing.T) {
 	}
 	if rep.Cache.HitRate == 0 {
 		t.Fatalf("pure hot closed loop reported zero hit rate: %+v", rep.Cache)
+	}
+}
+
+// TestRunAgainstProxy: through a simproxy the run is scored from the
+// proxy's /healthz epoch, and the counter blocks — which only a
+// simrankd's /metricsz carries — are omitted rather than zeroed.
+func TestRunAgainstProxy(t *testing.T) {
+	set, err := cluster.NewSet(cluster.SetConfig{Replicas: []string{newTestTarget(t)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.ProbeOnce(context.Background())
+	p, err := cluster.New(cluster.Config{Set: set})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httptest.NewServer(p)
+	t.Cleanup(proxy.Close)
+	spec := &workload.Spec{
+		Name:     "via-proxy",
+		Duration: workload.Duration(300 * time.Millisecond),
+		Seed:     3,
+		Classes: []workload.ClassSpec{{
+			Name:       "readers",
+			Arrival:    workload.ArrivalSpec{Process: "closed", Concurrency: 2},
+			Popularity: workload.PopularitySpec{Dist: "hotset", Hot: 4, HotFrac: 1},
+			Mix:        []workload.OpMix{{Op: workload.OpTopK, Weight: 1}},
+			K:          3,
+		}},
+		SLO: workload.SLO{AttainMs: 10000, AttainTargetPct: 1},
+	}
+	rep, err := workload.Run(context.Background(), spec, workload.RunOptions{Target: proxy.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK == 0 || rep.ServerEpoch != 1 {
+		t.Fatalf("proxied run: %d ok at server epoch %d, want traffic at epoch 1", rep.OK, rep.ServerEpoch)
+	}
+	if rep.ServerCounters != nil {
+		t.Fatalf("proxied run reports replica counters it cannot see: %+v", rep.ServerCounters)
+	}
+	raw, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"cache"`, `"engine_queries"`, `"admission_rejected"`, `"metrics_delta"`} {
+		if strings.Contains(string(raw), field) {
+			t.Errorf("proxied report carries %s", field)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package workload is the declarative workload-model subsystem behind
-// cmd/simload (and the deprecated simbench -http shim): it turns a
-// compact JSON/flag spec — traffic classes with arrival processes, node
-// popularity distributions and endpoint mixes — into a fully replayable
-// request trace, drives a running simrankd or simproxy over HTTP, and
-// scores the observed latency/error behaviour against per-scenario SLOs.
+// cmd/simload: it turns a compact JSON/flag spec — traffic classes with
+// arrival processes, node popularity distributions and endpoint mixes —
+// into a fully replayable request trace, drives a running simrankd or
+// simproxy over HTTP, and scores the observed latency/error behaviour
+// against per-scenario SLOs.
 //
 // Determinism contract: the same (Spec, Seed) pair generates a
 // byte-identical request trace on every run, on any GOMAXPROCS — every
@@ -106,7 +106,7 @@ type ClassSpec struct {
 	//              product traffic that doesn't set seeds at all)
 	//   fresh      every request draws a new seed → every query misses
 	//   hot-pinned pinned for nodes drawn from the hot set, fresh
-	//              otherwise (the historical simbench -http behaviour)
+	//              otherwise (a hot set of repeat queries over a cold tail)
 	SeedPolicy string `json:"seed_policy,omitempty"`
 }
 

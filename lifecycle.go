@@ -58,7 +58,7 @@ func (c *Client) Close() error {
 }
 
 // ClientStats is a point-in-time snapshot of a client's query counters,
-// the backing data of a serving layer's /statsz endpoint. Counters are
+// the backing data of a serving layer's /metricsz counters. Counters are
 // cumulative since NewClient.
 type ClientStats struct {
 	// Queries counts engine query executions. Batch items and adaptive

@@ -15,6 +15,7 @@ tmp=$(mktemp -d)
 pids=()
 cleanup() {
   for p in "${pids[@]:-}"; do kill "$p" 2>/dev/null || true; done
+  for p in "${pids[@]:-}"; do wait "$p" 2>/dev/null || true; done
   rm -rf "$tmp"
 }
 trap cleanup EXIT
@@ -89,13 +90,13 @@ via_write=$(sed -n 's/^X-Simproxy-Replica: \(.*\)\r$/\1/p' "$tmp/hw")
 epoch=$(sed -n 's/.*"epoch":\([0-9]*\).*/\1/p' "$tmp/out")
 [ -n "$epoch" ] && [ "$epoch" -ge 2 ] || fail "write did not report a committed epoch"
 
-# Every follower must reach the write's epoch.
+# Every follower's /healthz must report the write's epoch with lag 0.
 for host in "$f1" "$f2"; do
   ok=""
   for _ in $(seq 1 100); do
-    if [ "$(code "http://$host/statsz")" = 200 ] \
-       && grep -q "\"applied_epoch\":$epoch" "$tmp/out" \
-       && grep -q '"lag":0' "$tmp/out"; then ok=1; break; fi
+    if [ "$(code "http://$host/healthz")" = 200 ] \
+       && grep -q "\"epoch\":$epoch[,}]" "$tmp/out" \
+       && grep -q '"lag":0[,}]' "$tmp/out"; then ok=1; break; fi
     sleep 0.1
   done
   [ -n "$ok" ] || fail "follower $host never converged to epoch $epoch"
@@ -128,8 +129,12 @@ for i in $(seq 0 7); do
   [ "$via" != "$f1" ] || fail "read routed to the killed follower"
 done
 
-[ "$(code "$base/statsz")" = 200 ] || fail "proxy statsz not 200"
-grep -q '"proxy":true' "$tmp/out" || fail "proxy statsz missing identity"
-grep -q '"replicas":\[' "$tmp/out" || fail "proxy statsz missing per-replica breakdown"
+# The proxy's /metricsz carries one replica_up series per replica, the
+# killed follower included.
+[ "$(code "$base/metricsz")" = 200 ] || fail "proxy metricsz not 200"
+for host in "$leader" "$f1" "$f2"; do
+  grep -q "^simproxy_replica_up{replica=\"$host\"} " "$tmp/out" \
+    || fail "proxy metricsz has no simproxy_replica_up series for $host"
+done
 
 echo "cluster smoke: OK (leader $leader, followers $f1 $f2, proxy $proxy)"

@@ -56,8 +56,10 @@ grep -q '"cache":"hit"' "$tmp/out" || fail "second identical query was not a cac
 [ "$(code "$base/v1/single-source?node=0&seed=1")" = 200 ] || fail "post-mutation query not 200"
 grep -q '"cache":"computed"' "$tmp/out" || fail "post-mutation query served a stale cached result"
 
-[ "$(code "$base/statsz")" = 200 ] || fail "statsz not 200"
-grep -q '"hits":' "$tmp/out" || fail "statsz missing cache counters"
+# The cache hit above must show on the counter surface.
+[ "$(code "$base/metricsz")" = 200 ] || fail "metricsz not 200"
+awk '$1 == "simrankd_cache_hits_total" && $2 >= 1 { found = 1 } END { exit !found }' "$tmp/out" \
+  || fail "metricsz simrankd_cache_hits_total is not >= 1 after a cache hit"
 
 kill -TERM "$pid"
 if ! wait "$pid"; then

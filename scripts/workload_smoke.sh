@@ -70,12 +70,15 @@ done
 # fraud-neighbors mutates: at least one scenario must move the epoch.
 grep -q '"epoch_advances": [1-9]' "$OUT" || fail "no scenario advanced the epoch"
 
-# The server's latency histograms must be live after the run.
-curl -s "http://$addr/statsz" > "$tmp/stats.json"
-grep -q '"latency_buckets_ms"' "$tmp/stats.json" || fail "statsz missing latency buckets"
-grep -q '"engine"' "$tmp/stats.json" || fail "statsz missing engine-path histogram"
-grep -q '"cache_hit"' "$tmp/stats.json" || fail "statsz missing cache-hit-path histogram"
-grep -q '"retry_after_s"' "$tmp/stats.json" || fail "statsz missing adaptive retry-after"
+# The server's latency histograms must be live after the run, on both
+# serving paths, beside the adaptive retry-after gauge.
+curl -sf "http://$addr/metricsz" > "$tmp/metrics.prom" || fail "metricsz not 200"
+grep -q '^simrankd_request_duration_seconds_bucket{.*path="engine"' "$tmp/metrics.prom" \
+  || fail "metricsz missing engine-path histogram buckets"
+grep -q '^simrankd_request_duration_seconds_bucket{.*path="cache"' "$tmp/metrics.prom" \
+  || fail "metricsz missing cache-path histogram buckets"
+grep -q '^simrankd_admission_retry_after_seconds ' "$tmp/metrics.prom" \
+  || fail "metricsz missing adaptive retry-after"
 
 kill -TERM "$pid"
 wait "$pid" || fail "daemon exited nonzero on SIGTERM"

@@ -34,20 +34,19 @@
 //
 // Deadlines interrupt queries mid-stage (ctx.Err() is returned), and
 // validation failures wrap the sentinel errors ErrNodeOutOfRange and
-// ErrInvalidOptions for errors.Is classification. The v1 Engine API is
-// still available as a deprecated wrapper; see README.md for the
-// migration table.
+// ErrInvalidOptions for errors.Is classification. The v1 Engine API and
+// the top-level BatchSingleSource have been removed; README.md's
+// migration table maps each old call to its Client equivalent.
 //
 // Besides SimPush itself, the library ships faithful implementations of
 // the six baselines the paper evaluates against (ProbeSim, PRSim, SLING,
 // READS, TSF, TopSim) behind a common Method interface, exact and
 // Monte-Carlo oracles, synthetic dataset generators, and the complete
 // benchmark harness reproducing every table and figure of the paper
-// (see cmd/simbench and EXPERIMENTS.md).
+// (see cmd/simbench and internal/bench).
 package simpush
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -91,56 +90,6 @@ type Clock = core.Clock
 // Build (preprocessing, if any) then Query. Use NewMethod to construct
 // baselines for comparison studies.
 type Method = engine.Engine
-
-// Engine is the deprecated v1 single-goroutine query API, kept as a thin
-// wrapper so existing code compiles. Every method delegates to a Client
-// with context.Background().
-//
-// Deprecated: use Client, whose methods are concurrency-safe, take a
-// context and accept per-query options.
-type Engine struct {
-	c *Client
-}
-
-// New creates a v1 engine for g.
-//
-// Deprecated: use NewClient.
-func New(g *Graph, opt Options) (*Engine, error) {
-	c, err := NewClient(g, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{c: c}, nil
-}
-
-// Client returns the v2 client backing this engine.
-func (e *Engine) Client() *Client { return e.c }
-
-// SingleSource estimates s(u, v) for every v, with |s−s̃| ≤ ε holding for
-// every v with probability at least 1−δ (Theorem 1 of the paper).
-//
-// Deprecated: use Client.SingleSource.
-func (e *Engine) SingleSource(u int32) (*Result, error) {
-	return e.c.SingleSource(context.Background(), u)
-}
-
-// TopK runs a single-source query and returns the k most similar nodes
-// (excluding u itself) in descending score order.
-//
-// Deprecated: use Client.TopK.
-func (e *Engine) TopK(u int32, k int) ([]Ranked, error) {
-	return e.c.TopK(context.Background(), u, k)
-}
-
-// Pair estimates the single SimRank value s(u, v).
-//
-// Deprecated: use Client.Pair.
-func (e *Engine) Pair(u, v int32) (float64, error) {
-	return e.c.Pair(context.Background(), u, v)
-}
-
-// Graph returns the engine's graph.
-func (e *Engine) Graph() *Graph { return e.c.Graph() }
 
 // Ranked is one entry of a top-k result.
 type Ranked struct {
@@ -214,7 +163,7 @@ func SyntheticSocialGraph(n int32, avgDeg int, seed uint64) (*Graph, error) {
 }
 
 // Dataset generates one of the nine named dataset stand-ins used by the
-// benchmark suite (see DESIGN.md §6); scale 1.0 is the default size.
+// benchmark suite (see internal/gen); scale 1.0 is the default size.
 func Dataset(name string, scale float64) (*Graph, error) {
 	ds, err := gen.ByName(name)
 	if err != nil {

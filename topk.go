@@ -84,13 +84,6 @@ func (c *Client) topKAdaptiveOn(ctx context.Context, g *Graph, u int32, k int, s
 	}
 }
 
-// TopKAdaptive runs the adaptive top-k search from u.
-//
-// Deprecated: use Client.TopKAdaptive.
-func (e *Engine) TopKAdaptive(u int32, k int, startEps, floorEps float64) (*AdaptiveTopK, error) {
-	return e.c.TopKAdaptive(context.Background(), u, k, startEps, floorEps)
-}
-
 // stableTopK reports whether the gap between the k-th and (k+1)-th scores
 // exceeds 2ε: since every estimate is within ε of the truth (one-sided
 // underestimates within ε, no overestimate), a 2ε gap certifies the set.

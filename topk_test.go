@@ -89,12 +89,14 @@ func TestTopKAdaptiveMatchesFine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(g, Options{Epsilon: 0.02, Seed: 5})
+	c, err := NewClient(g, Options{Epsilon: 0.02, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
+	ctx := context.Background()
 	u := int32(321)
-	adaptive, err := eng.TopKAdaptive(u, 10, 0, 0)
+	adaptive, err := c.TopKAdaptive(ctx, u, 10, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +104,12 @@ func TestTopKAdaptiveMatchesFine(t *testing.T) {
 		t.Fatalf("adaptive = %+v", adaptive)
 	}
 
-	fine, err := New(g, Options{Epsilon: 0.002, Seed: 5})
+	fine, err := NewClient(g, Options{Epsilon: 0.002, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fine.TopK(u, 10)
+	defer fine.Close()
+	want, err := fine.TopK(ctx, u, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +137,12 @@ func TestTopKAdaptiveStopsEarlyOnClearGap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(g, Options{Seed: 1})
+	c, err := NewClient(g, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.TopKAdaptive(1, 1, 0.08, 0.002)
+	defer c.Close()
+	res, err := c.TopKAdaptive(context.Background(), 1, 1, 0.08, 0.002)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,18 +159,20 @@ func TestTopKAdaptiveValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(g, Options{})
+	c, err := NewClient(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.TopKAdaptive(0, 0, 0, 0); err == nil {
+	defer c.Close()
+	ctx := context.Background()
+	if _, err := c.TopKAdaptive(ctx, 0, 0, 0, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := eng.TopKAdaptive(99, 1, 0, 0); err == nil {
+	if _, err := c.TopKAdaptive(ctx, 99, 1, 0, 0); err == nil {
 		t.Fatal("bad node accepted")
 	}
 	// startEps below floor clamps rather than erroring
-	if _, err := eng.TopKAdaptive(0, 1, 0.001, 0.01); err != nil {
+	if _, err := c.TopKAdaptive(ctx, 0, 1, 0.001, 0.01); err != nil {
 		t.Fatal(err)
 	}
 }
