@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt perfbench-check check bench bench-json serve smoke cluster-smoke workload-smoke obs-smoke cache-delta-bench
+.PHONY: all build test race vet lint fmt perfbench-check check bench serve smoke cluster-smoke workload-smoke obs-smoke cache-delta-bench
 
 all: check
 
@@ -39,10 +39,6 @@ check: fmt vet lint race perfbench-check obs-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
-
-# Serial-vs-parallel stage benchmarks → BENCH_PR5.json (perf trajectory).
-bench-json:
-	./scripts/bench.sh
 
 # Serve a synthetic dataset stand-in on :8080 (override with ARGS).
 serve:

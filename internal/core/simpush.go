@@ -61,9 +61,8 @@ type ventry struct {
 // level holds the nodes of one level of the source graph G_u together with
 // their exact hitting probabilities h^(ℓ)(u, ·) from the query node.
 type level struct {
-	nodes  []int32
-	h      []float64
-	attIdx []int32 // parallel: attention index, or -1
+	nodes []int32
+	h     []float64
 }
 
 // attNode is one attention node (Definition 3): a (level, node) pair with
@@ -199,10 +198,11 @@ func (sp *SimPush) Graph() *graph.Graph {
 }
 
 // MemoryBytes estimates the engine's persistent scratch footprint (the
-// graph itself is excluded; there is no index). Worker scratch counts:
-// intra-query parallelism trades O(k·n) memory for latency.
+// graph itself is excluded; there is no index), including the walk
+// counter's per-level arrays. Worker scratch counts: intra-query
+// parallelism trades O(k·n) memory for latency.
 func (sp *SimPush) MemoryBytes() int64 {
-	var b int64
+	b := sp.counter.MemoryBytes()
 	b += int64(len(sp.hScratch)) * 8
 	for _, s := range sp.slots {
 		b += int64(len(s)) * 4
@@ -211,7 +211,7 @@ func (sp *SimPush) MemoryBytes() int64 {
 	b += int64(len(sp.attScratch)) * 8
 	b += sp.gamma.memoryBytes()
 	for _, w := range sp.workers {
-		b += int64(len(w.acc))*8 + int64(cap(w.accT))*4 + w.gamma.memoryBytes()
+		b += w.counter.MemoryBytes() + int64(len(w.acc))*8 + int64(cap(w.accT))*4 + w.gamma.memoryBytes()
 	}
 	return b
 }

@@ -28,11 +28,7 @@ func (sp *SimPush) sourcePush(ctx context.Context, qs *queryState) error {
 
 	// Level 0 holds only the query node with h^(0)(u, u) = 1.
 	sp.slotLevel(0)[qs.u] = 0
-	qs.levels = append(qs.levels, level{
-		nodes:  []int32{qs.u},
-		h:      []float64{1},
-		attIdx: []int32{-1},
-	})
+	qs.levels = append(qs.levels, level{nodes: []int32{qs.u}, h: []float64{1}})
 
 	// Push levels 0 .. L-1 (Algorithm 2 lines 9-19). Every node v in the
 	// frontier sends √c·h^(ℓ)(u,v)/d_I(v) to each in-neighbor; in-neighbors
@@ -61,15 +57,13 @@ func (sp *SimPush) sourcePush(ctx context.Context, qs *queryState) error {
 			break
 		}
 		next := level{
-			nodes:  make([]int32, len(sp.hTouched)),
-			h:      make([]float64, len(sp.hTouched)),
-			attIdx: make([]int32, len(sp.hTouched)),
+			nodes: make([]int32, len(sp.hTouched)),
+			h:     make([]float64, len(sp.hTouched)),
 		}
 		slots := sp.slotLevel(l + 1)
 		for i, v := range sp.hTouched {
 			next.nodes[i] = v
 			next.h[i] = sp.hScratch[v]
-			next.attIdx[i] = -1
 			sp.hScratch[v] = 0
 			slots[v] = int32(i)
 		}
@@ -92,7 +86,6 @@ func (sp *SimPush) sourcePush(ctx context.Context, qs *queryState) error {
 					h:     hv,
 					gamma: 1,
 				})
-				lv.attIdx[i] = idx
 				qs.attByLevel[l] = append(qs.attByLevel[l], idx)
 			}
 		}

@@ -13,8 +13,7 @@ import (
 // Per-stage benchmarks: the complexity table (paper Table 3) splits
 // SimPush into Source-Push, γ computation, and Reverse-Push. These
 // benchmarks measure each stage on a mid-size web graph, serial vs
-// parallel (Options.Parallelism = NumCPU); scripts/bench.sh turns the
-// ratio into the BENCH_PR5.json perf trajectory.
+// parallel (Options.Parallelism = NumCPU).
 
 func stageGraph(b *testing.B) *graph.Graph {
 	b.Helper()

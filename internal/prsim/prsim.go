@@ -142,7 +142,7 @@ func (e *Engine) IndexBytes() int64 {
 	b := int64(len(e.hubIdx))*4 + int64(len(e.hubs))*4 + int64(len(e.hubEta))*8
 	b += int64(len(e.hubOff))*8 + int64(len(e.hubList))*16
 	if e.prober != nil {
-		b += e.prober.MemoryBytes()
+		b += e.prober.MemoryBytes() + e.counter.MemoryBytes()
 	}
 	return b
 }
@@ -179,7 +179,9 @@ func (e *Engine) Build() error {
 		e.hubIdx[h] = int32(i)
 	}
 
-	// η for hubs (paired-walk sampling, parallel).
+	// η for hubs (paired-walk sampling, parallel). Each hub's sampler is
+	// reseeded from (Seed, hub ordinal), so hubEta does not depend on which
+	// worker happens to claim which hub.
 	e.hubEta = make([]float64, j0)
 	etaCnt := e.etaBuildSamples()
 	workers := runtime.GOMAXPROCS(0)
@@ -189,11 +191,11 @@ func (e *Engine) Build() error {
 	lists := make([][]entry, j0)
 	var size int64
 	var buildErr error
-	for k := 0; k < workers; k++ {
+	for range workers {
 		wg.Add(1)
-		go func(seed uint64) {
+		go func() {
 			defer wg.Done()
-			wlk := walk.NewWalker(e.g, e.p.C, rnd.New(seed))
+			wlk := walk.NewWalker(e.g, e.p.C, rnd.New(0))
 			pr := push.NewProber(e.g, e.p.C)
 			for {
 				mu.Lock()
@@ -205,9 +207,10 @@ func (e *Engine) Build() error {
 					return
 				}
 				w := e.hubs[i]
+				wlk.Reseed(e.p.Seed + uint64(i)*0xd1342543de82ef95 + 11)
 				never := 0
 				for s := 0; s < etaCnt; s++ {
-					if !pairNeverMeets(wlk, w) {
+					if pairNeverMeets(wlk, w) {
 						never++
 					}
 				}
@@ -228,7 +231,7 @@ func (e *Engine) Build() error {
 				}
 				mu.Unlock()
 			}
-		}(e.p.Seed + uint64(k)*0xd1342543de82ef95 + 11)
+		}()
 	}
 	wg.Wait()
 	if buildErr != nil {

@@ -3,6 +3,8 @@ package prsim
 import (
 	"context"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/simrank/simpush/internal/exact"
@@ -128,6 +130,53 @@ func TestAccuracyVsExact(t *testing.T) {
 		if worst > 6*epsA {
 			t.Fatalf("u=%d: worst error %v too large", u, worst)
 		}
+	}
+}
+
+// TestAccuracyVsExactUndirected queries an undirected power-law graph,
+// where walks reach the high in-degree hubs often, so the hub η estimate
+// carries much of the score. A hub η that counted meetings instead of
+// non-meetings put the max error here at 0.068, with 205 entries over ε_a.
+func TestAccuracyVsExactUndirected(t *testing.T) {
+	g, err := gen.BarabasiAlbert(600, 3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := exact.AllPairs(g, exact.Options{C: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const epsA = 0.01
+	e := built(t, g, Params{EpsA: epsA, Seed: 5})
+	for _, u := range []int32{3, 40, 99, 500, 599} {
+		s, err := e.Query(context.Background(), u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := int32(0); v < g.N(); v++ {
+			if d := math.Abs(ex.At(u, v) - s[v]); d > epsA {
+				t.Fatalf("u=%d v=%d: |%v - %v| = %v exceeds eps_a %v", u, v, s[v], ex.At(u, v), d, epsA)
+			}
+		}
+	}
+}
+
+// TestHubEtaIndependentOfScheduling builds the same index with one and
+// with two hub workers: hubs are claimed dynamically, so the η estimates
+// must come from per-hub streams, not per-worker ones.
+func TestHubEtaIndependentOfScheduling(t *testing.T) {
+	g, err := gen.BarabasiAlbert(400, 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var etas [][]float64
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		etas = append(etas, built(t, g, Params{EpsA: 0.05, Seed: 6}).hubEta)
+	}
+	if !slices.Equal(etas[0], etas[1]) {
+		t.Fatalf("hubEta differs between GOMAXPROCS 1 and 2:\n%v\n%v", etas[0], etas[1])
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 )
 
 // Walker samples √c-walks over a fixed graph with a fixed decay factor.
-// Not safe for concurrent use (owns its RNG); use Split for workers.
+// Not safe for concurrent use (owns its RNG).
 type Walker struct {
 	g     *graph.Graph
 	sqrtC float64
@@ -27,17 +27,6 @@ type Walker struct {
 // decay, not its square root) and the given RNG.
 func NewWalker(g *graph.Graph, c float64, rng *rnd.Source) *Walker {
 	return &Walker{g: g, sqrtC: math.Sqrt(c), rng: rng, buf: make([]int32, 0, 64)}
-}
-
-// SqrtC returns the per-step continuation probability √c.
-func (w *Walker) SqrtC() float64 {
-	return w.sqrtC
-}
-
-// Split returns a Walker over the same graph with an independent RNG,
-// suitable for handing to another goroutine.
-func (w *Walker) Split() *Walker {
-	return &Walker{g: w.g, sqrtC: w.sqrtC, rng: w.rng.Split(), buf: make([]int32, 0, 64)}
 }
 
 // DeriveSeed draws the next value of the walker's stream for seeding a
@@ -253,6 +242,16 @@ func (lc *LevelCounter) MaxCountAt(level int) int32 {
 		}
 	}
 	return mx
+}
+
+// MemoryBytes reports the counter's footprint: one n-sized count array
+// and one touched list for every level a walk has reached.
+func (lc *LevelCounter) MemoryBytes() int64 {
+	var b int64
+	for l, c := range lc.counts {
+		b += int64(cap(c)+cap(lc.touched[l])) * 4
+	}
+	return b
 }
 
 // Reset clears all counters in O(total touched).

@@ -164,20 +164,6 @@ func TestLevelCounter(t *testing.T) {
 	}
 }
 
-func TestSplitWalkerIndependent(t *testing.T) {
-	g := gen.Cycle(8)
-	w := NewWalker(g, testC, rnd.New(11))
-	w2 := w.Split()
-	if w2.SqrtC() != w.SqrtC() {
-		t.Fatal("split changed decay")
-	}
-	// Both should work without interfering.
-	a := len(w.Sample(0))
-	b := len(w2.Sample(0))
-	_ = a
-	_ = b
-}
-
 func BenchmarkSample(b *testing.B) {
 	g, err := gen.CopyingModel(50000, 10, 0.3, 1)
 	if err != nil {
