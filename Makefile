@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt perfbench-check check bench serve smoke cluster-smoke workload-smoke obs-smoke cache-delta-bench
+.PHONY: all build test race vet lint fmt perfbench-check check bench serve smoke cluster-smoke workload-smoke obs-smoke
 
 all: check
 
@@ -55,20 +55,15 @@ cluster-smoke:
 	./scripts/cluster_smoke.sh
 
 # Workload scenario smoke: simload drives every preset against a live
-# simrankd on a fixture graph → BENCH_PR8.json (SLO-scored report).
-# Override with e.g. DURATION=30s RATE_SCALE=1 for a real run.
+# simrankd on a fixture graph and checks the SLO-scored report (keep it
+# with OUT=report.json). Override with e.g. DURATION=30s RATE_SCALE=1 for
+# a real run.
 workload-smoke:
 	./scripts/workload_smoke.sh
 
 # Observability smoke: request-id echo + slow-query log + /debug/queries
 # spans, Prometheus-grammar validation of both daemons' /metricsz, and a
-# tracing-disabled SLO run → BENCH_PR9.json (see docs/observability.md).
+# tracing-disabled SLO run (keep its report with OUT=report.json; see
+# docs/observability.md).
 obs-smoke:
 	./scripts/obs_smoke.sh
-
-# Epoch-delta cache carry-forward benchmark: carry-on vs abandon-on-epoch
-# hit rate under a community-clustered mutation mix → BENCH_PR10.json.
-# Fails unless carry's hit rate is >= 3x the baseline's with entries
-# actually carried (see docs/cache.md).
-cache-delta-bench:
-	./scripts/cache_delta_bench.sh

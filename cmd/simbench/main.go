@@ -25,8 +25,10 @@
 //
 // Parallelism mode (-parallelism k, k > 1) measures intra-query speedup:
 // it runs the same seeded single-source queries serially and with
-// WithParallelism(k) and prints per-stage (Source-Push, γ, Reverse-Push)
-// and end-to-end serial-vs-parallel ratios from StageDurations:
+// WithParallelism(k), alternating which runs first, and prints per-stage
+// (walk, Source-Push, γ, Reverse-Push) and end-to-end serial-vs-parallel
+// ratios from StageDurations, each with the quartiles of its per-query
+// ratios:
 //
 //	simbench -parallelism 8 -datasets dblp-sim -scale 0.25 -queries 20
 package main

@@ -16,7 +16,7 @@
 //
 //	simload -list
 //	simload -target http://localhost:8080 -scenario social-feed -duration 30s
-//	simload -target http://localhost:8080 -scenario all -out BENCH_PR8.json
+//	simload -target http://localhost:8080 -scenario all -out report.json
 //	simload -spec my-workload.json -validate
 //	simload -spec my-workload.json -target http://localhost:8080 -seed 7
 //
@@ -70,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed      = fs.Uint64("seed", 0, "workload seed override (0 = preset/spec default); printed on every run")
 		duration  = fs.Duration("duration", 0, "run window override (0 = preset/spec default)")
 		rateScale = fs.Float64("rate-scale", 1, "multiply every preset class's arrival rate (CI smoke ↔ saturation)")
-		out       = fs.String("out", "", "write the aggregated BENCH JSON here (e.g. BENCH_PR8.json)")
+		out       = fs.String("out", "", "write the aggregated BENCH JSON here (e.g. report.json)")
 		list      = fs.Bool("list", false, "list preset scenarios and exit")
 		validate  = fs.Bool("validate", false, "validate the spec/scenario, print the resolved spec JSON, and exit")
 		strict    = fs.Bool("strict", false, "exit nonzero when any scenario misses its SLO")

@@ -65,7 +65,7 @@ func TestValidateResolvesPreset(t *testing.T) {
 // field for every scenario.
 func TestRunAllScenariosEmitsBench(t *testing.T) {
 	target := startTarget(t)
-	outPath := filepath.Join(t.TempDir(), "BENCH_PR8.json")
+	outPath := filepath.Join(t.TempDir(), "report.json")
 	var out, errBuf bytes.Buffer
 	code := run([]string{
 		"-target", target,

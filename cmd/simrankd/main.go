@@ -76,9 +76,6 @@ type daemonConfig struct {
 	seed  uint64
 
 	cacheEntries int
-	cacheCarry   bool
-	deltaDepth   int
-	deltaBudget  int
 	maxInFlight  int
 	maxQueue     int
 	maxParallel  int
@@ -111,9 +108,6 @@ func main() {
 	flag.Float64Var(&cfg.decay, "c", 0.6, "SimRank decay factor")
 	flag.Uint64Var(&cfg.seed, "seed", 0, "base random seed")
 	flag.IntVar(&cfg.cacheEntries, "cache-entries", 0, "result cache bound (0 auto-sizes from a ~256MB budget and the graph size; negative disables caching, keeps coalescing)")
-	flag.BoolVar(&cfg.cacheCarry, "cache-carry", true, "carry unaffected cache entries across graph epochs (live sources)")
-	flag.IntVar(&cfg.deltaDepth, "delta-depth", 0, "affected-set BFS depth for cache carry-forward (0 = the engine's walk-depth bound L*)")
-	flag.IntVar(&cfg.deltaBudget, "delta-budget", 0, "affected-set size before a mutation drops the whole cache (0 = half the graph, min 1024; negative = unbounded)")
 	flag.IntVar(&cfg.maxInFlight, "max-inflight", 0, "concurrent engine computations (0 = 2×GOMAXPROCS)")
 	flag.IntVar(&cfg.maxQueue, "max-queue", 0, "requests allowed to wait for a slot (0 = 4×max-inflight)")
 	flag.IntVar(&cfg.maxParallel, "max-parallelism", 0, "cap on the ?parallelism intra-query worker parameter (0 = GOMAXPROCS)")
@@ -196,23 +190,20 @@ func run(ctx context.Context, cfg daemonConfig, ready chan<- string) error {
 	}
 
 	srv, err := server.New(server.Config{
-		Client:              client,
-		CacheEntries:        cfg.cacheEntries,
-		DisableCarryForward: !cfg.cacheCarry,
-		DeltaDepth:          cfg.deltaDepth,
-		DeltaBudget:         cfg.deltaBudget,
-		MaxInFlight:         cfg.maxInFlight,
-		MaxQueue:            cfg.maxQueue,
-		MaxParallelism:      cfg.maxParallel,
-		DefaultTimeout:      cfg.timeout,
-		MaxTimeout:          cfg.maxTimeout,
-		MaxBatch:            cfg.maxBatch,
-		Role:                role,
-		LeaderURL:           cfg.follow,
-		ReplicationLog:      cfg.replicationLog,
-		TraceRing:           cfg.traceQueries,
-		SlowQuery:           time.Duration(cfg.slowQueryMs) * time.Millisecond,
-		Logger:              logger,
+		Client:         client,
+		CacheEntries:   cfg.cacheEntries,
+		MaxInFlight:    cfg.maxInFlight,
+		MaxQueue:       cfg.maxQueue,
+		MaxParallelism: cfg.maxParallel,
+		DefaultTimeout: cfg.timeout,
+		MaxTimeout:     cfg.maxTimeout,
+		MaxBatch:       cfg.maxBatch,
+		Role:           role,
+		LeaderURL:      cfg.follow,
+		ReplicationLog: cfg.replicationLog,
+		TraceRing:      cfg.traceQueries,
+		SlowQuery:      time.Duration(cfg.slowQueryMs) * time.Millisecond,
+		Logger:         logger,
 	})
 	if err != nil {
 		return err

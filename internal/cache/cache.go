@@ -319,11 +319,11 @@ type Delta struct {
 // Entries at other epochs are untouched (a later Sweep reclaims them).
 // It returns the number of entries carried.
 //
-// keep is called with the entry's key and stored value while the shard
-// lock is held: it must be fast, must not call back into the cache, and
-// must return true only if the value is guaranteed bit-identical to a
-// fresh computation at d.ToEpoch (the caller's affected-set judgment).
-// A nil keep carries nothing (every FromEpoch entry is dropped).
+// keep is called with the entry's key while the shard lock is held: it
+// must be fast, must not call back into the cache, and must return true
+// only if the value is guaranteed bit-identical to a fresh computation at
+// d.ToEpoch (the caller's affected-set judgment). A nil keep carries
+// nothing (every FromEpoch entry is dropped).
 //
 // The work is O(stored entries) per call and allocation-free on the
 // payloads: re-keying rewrites the entry's key in place and moves the
@@ -331,7 +331,7 @@ type Delta struct {
 // ToEpoch entry already exists under the target key (a query raced ahead
 // and computed at the new epoch), the fresh entry wins and the stale
 // candidate is dropped.
-func (c *Cache) CarryForward(d Delta, keep func(Key, any) bool) int {
+func (c *Cache) CarryForward(d Delta, keep func(Key) bool) int {
 	carried := 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -343,7 +343,7 @@ func (c *Cache) CarryForward(d Delta, keep func(Key, any) bool) int {
 				nk := e.key
 				nk.Epoch = d.ToEpoch
 				_, taken := s.entries[nk]
-				if !taken && keep != nil && keep(e.key, e.val) {
+				if !taken && keep != nil && keep(e.key) {
 					delete(s.entries, e.key)
 					e.key = nk // same hash (epoch is not mixed in): stays in this shard
 					s.entries[nk] = el

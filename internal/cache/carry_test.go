@@ -8,12 +8,7 @@ func TestCarryForwardRekeysUnaffected(t *testing.T) {
 		c.Put(key(1, node), node)
 	}
 	// Keep even nodes: odd ones play the "affected" role.
-	carried := c.CarryForward(Delta{FromEpoch: 1, ToEpoch: 2}, func(k Key, v any) bool {
-		if v.(int32) != k.Node {
-			t.Fatalf("keep saw value %v for key %v", v, k)
-		}
-		return k.Node%2 == 0
-	})
+	carried := c.CarryForward(Delta{FromEpoch: 1, ToEpoch: 2}, func(k Key) bool { return k.Node%2 == 0 })
 	if carried != 3 {
 		t.Fatalf("carried = %d, want 3", carried)
 	}
@@ -36,7 +31,7 @@ func TestCarryForwardFreshEntryWins(t *testing.T) {
 	c := New(64)
 	c.Put(key(1, 7), "stale")
 	c.Put(key(2, 7), "fresh") // a query raced ahead and computed at epoch 2
-	carried := c.CarryForward(Delta{FromEpoch: 1, ToEpoch: 2}, func(Key, any) bool { return true })
+	carried := c.CarryForward(Delta{FromEpoch: 1, ToEpoch: 2}, func(Key) bool { return true })
 	if carried != 0 {
 		t.Fatalf("carried = %d, want 0 (target key taken)", carried)
 	}
@@ -66,7 +61,7 @@ func TestCarryForwardLeavesOtherEpochsForSweep(t *testing.T) {
 	c := New(64)
 	c.Put(key(1, 1), "ancient")
 	c.Put(key(5, 2), "current")
-	c.CarryForward(Delta{FromEpoch: 5, ToEpoch: 6}, func(Key, any) bool { return true })
+	c.CarryForward(Delta{FromEpoch: 5, ToEpoch: 6}, func(Key) bool { return true })
 	// The epoch-1 entry is not a FromEpoch candidate: untouched, awaiting
 	// Sweep.
 	if _, ok := c.Get(key(1, 1)); !ok {
@@ -86,7 +81,7 @@ func TestSweepAfterCarryKeepsCarriedEntries(t *testing.T) {
 	c.Put(key(1, 1), "old-old") // superseded long ago
 	c.Put(key(5, 2), "keep")
 	c.Put(key(5, 3), "drop")
-	c.CarryForward(Delta{FromEpoch: 5, ToEpoch: 6}, func(k Key, _ any) bool { return k.Node == 2 })
+	c.CarryForward(Delta{FromEpoch: 5, ToEpoch: 6}, func(k Key) bool { return k.Node == 2 })
 	removed := c.Sweep(6)
 	if removed != 1 {
 		t.Fatalf("sweep removed %d, want 1 (only the ancient entry remains to reclaim)", removed)

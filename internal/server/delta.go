@@ -22,33 +22,17 @@ import (
 // story for the sweep/carry race — there is no window in which a
 // just-carried entry is sweepable.
 
-// installCarryForward resolves the delta depth and budget and registers
-// the commit hook on the dynamic source. Called once from New.
+// installCarryForward registers the commit hook on the dynamic source,
+// with the affected-set BFS at the engine's own walk-depth bound L*.
+// Called once from New.
 func (s *Server) installCarryForward() {
 	s.engineOpts = s.client.Options()
-	depth := s.cfg.DeltaDepth
-	if depth <= 0 {
-		depth = s.engineOpts.MaxLevelBound()
-	}
-	budget := s.cfg.DeltaBudget
-	if budget == 0 {
-		// Auto: half the graph (at startup). Past that point most of the
-		// cache is affected anyway and the BFS costs graph-sized work for
-		// little carried value, so falling back to Total is the better
-		// trade.
-		budget = int(s.client.Graph().N()) / 2
-		if budget < 1024 {
-			budget = 1024
-		}
-	} else if budget < 0 {
-		budget = 0 // explicit "unbounded"
-	}
-	s.deltaDepth = depth
-	// An entry computed with the engine-default ε is only safe to carry
-	// if the delta BFS ran at least as deep as the engine reads. True
-	// unless Config.DeltaDepth was forced below the engine's own bound.
-	s.carryDefaultSafe = s.engineOpts.MaxLevelBound() <= depth
-	s.dyn.SetCommitHook(s.onEpochDelta, depth, budget)
+	s.carryDepth = s.engineOpts.MaxLevelBound()
+	// Past half the graph (at startup) most of the cache is affected
+	// anyway and the BFS costs graph-sized work for little carried value,
+	// so the delta falls back to Total.
+	budget := max(int(s.client.Graph().N())/2, 1024)
+	s.dyn.SetCommitHook(s.onEpochDelta, s.carryDepth, budget)
 }
 
 // onEpochDelta is the commit hook: it records the delta counters and
@@ -73,53 +57,26 @@ func (s *Server) onEpochDelta(d simpush.EpochDelta) {
 	s.cache.CarryForward(cd, s.carryKeep(aff))
 }
 
-// carryKeep builds the per-entry carry judgment for one delta: true only
-// if the entry is bit-identical to a fresh computation at the new epoch.
-// A single-source result from u is untouched by the mutation iff u is
-// outside the affected set (the engine then reads only adjacency,
-// in-degrees and walk transitions the mutation did not perturb); pair
-// and top-k entries additionally require their target / ranked support
-// nodes to be unaffected. The callback runs under a cache shard lock —
-// pure map lookups and arithmetic only.
-func (s *Server) carryKeep(aff map[int32]struct{}) func(cache.Key, any) bool {
-	return func(k cache.Key, v any) bool {
-		if !s.paramsCarrySafe(k.Params) {
-			return false
-		}
-		if _, hit := aff[k.Node]; hit {
-			return false
-		}
-		switch k.Kind {
-		case "single-source":
-			return true
-		case "pair":
-			_, hit := aff[int32(k.Aux)]
-			return !hit
-		case "topk":
-			rs, ok := v.([]simpush.Ranked)
-			if !ok {
-				return false
-			}
-			for _, r := range rs {
-				if _, hit := aff[r.Node]; hit {
-					return false
-				}
-			}
-			return true
-		default:
-			// Unknown kinds get no carry until someone audits their read
-			// set; dropping is always safe.
-			return false
-		}
+// carryKeep builds the carry judgment for one delta. The EpochDelta
+// contract makes a result from source u bit-identical to a fresh one at
+// the new epoch when u is outside the affected set and the query read no
+// deeper than the BFS did. Every cached value — a row, a top-k list, a
+// pair score — is a function of that one result, so one rule serves every
+// kind. The callback runs under a cache shard lock: a map lookup and
+// arithmetic only.
+func (s *Server) carryKeep(aff map[int32]struct{}) func(cache.Key) bool {
+	return func(k cache.Key) bool {
+		_, hit := aff[k.Node]
+		return !hit && s.paramsCarrySafe(k.Params)
 	}
 }
 
-// paramsCarrySafe guards per-query ε overrides: the delta BFS ran at
-// depth s.deltaDepth, so an entry computed with a smaller ε — a deeper
-// walk-depth bound L* — may have read adjacency outside the affected
-// set's coverage and must not be carried. The canonical params encoding
-// always leads with "eps=<g>" (0 = engine default), so the override is
-// recoverable from the key alone.
+// paramsCarrySafe guards per-query ε overrides: the delta BFS ran at the
+// engine's L*, so an entry computed with a smaller ε — a deeper walk-depth
+// bound — may have read adjacency outside the affected set's coverage and
+// must not be carried. The canonical params encoding always leads with
+// "eps=<g>" (0 = engine default), so the override is recoverable from the
+// key alone.
 func (s *Server) paramsCarrySafe(params string) bool {
 	const pfx = "eps="
 	if !strings.HasPrefix(params, pfx) {
@@ -134,9 +91,9 @@ func (s *Server) paramsCarrySafe(params string) bool {
 		return false
 	}
 	if eps == 0 {
-		return s.carryDefaultSafe
+		return true
 	}
 	opt := s.engineOpts
 	opt.Epsilon = eps
-	return opt.MaxLevelBound() <= s.deltaDepth
+	return opt.MaxLevelBound() <= s.carryDepth
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"github.com/simrank/simpush"
-	"github.com/simrank/simpush/internal/obs"
 )
 
 // clusteredDyn builds `clusters` disconnected directed rings of `size`
@@ -56,15 +55,17 @@ func newClusteredServer(t *testing.T, cfg Config) (*Server, *simpush.DynamicGrap
 // TestCarryForwardBitIdenticalProperty is the tentpole property test:
 // across a randomized mutation sequence, every response served after
 // carry-forward — hit, carried or computed — must be bit-identical to a
-// fresh engine computation on the committed graph at that epoch. Run
-// under -race, with each round's queries issued concurrently so the
-// commit hook races real request traffic.
+// fresh engine computation on the committed graph at that epoch. Each
+// sample node is read three ways: its dense row, a pair whose target is
+// the next cluster's sample (carried even when only the target's cluster
+// mutated), and its top-k. Run under -race, with each round's reads
+// issued concurrently so the commit hook races real request traffic.
 func TestCarryForwardBitIdenticalProperty(t *testing.T) {
-	const clusters, size = int32(12), int32(25)
-	// Room for the whole sample at once: admission must not 429 the
+	const clusters, size, rounds, k = int32(12), int32(25), 12, 5
+	// Room for every read of a round at once: admission must not 429 the
 	// concurrent rounds (GOMAXPROCS-derived defaults are too small under
 	// -race on small machines).
-	s, dyn := newClusteredServer(t, Config{MaxInFlight: int(clusters), MaxQueue: int(clusters)})
+	s, dyn := newClusteredServer(t, Config{MaxInFlight: int(3 * clusters), MaxQueue: int(3 * clusters)})
 	rng := rand.New(rand.NewSource(41))
 
 	// One sample node per cluster, queried with a fixed seed so engine
@@ -73,10 +74,19 @@ func TestCarryForwardBitIdenticalProperty(t *testing.T) {
 	for c := int32(0); c < clusters; c++ {
 		sample[c] = c*size + rng.Int31n(size)
 	}
+	target := func(i int) int32 { return sample[(i+1)%len(sample)] }
+	queries := func(i int) [3]string {
+		return [3]string{
+			fmt.Sprintf("/v1/single-source?node=%d&seed=11&dense=1", sample[i]),
+			fmt.Sprintf("/v1/pair?u=%d&v=%d&seed=11", sample[i], target(i)),
+			fmt.Sprintf("/v1/topk?node=%d&k=%d&seed=11", sample[i], k),
+		}
+	}
 	var added [][2]int32 // standalone-applied edges eligible for removal
 
-	hits := 0
-	for round := 0; round < 5; round++ {
+	var hits [3]int // post-mutation hits by endpoint, in queries order
+	ctx := context.Background()
+	for round := 0; round < rounds; round++ {
 		if round > 0 {
 			// Random mutation in a random cluster: add a chord, or remove
 			// a previously added one.
@@ -98,25 +108,21 @@ func TestCarryForwardBitIdenticalProperty(t *testing.T) {
 			}
 		}
 
-		// Fire the whole sample concurrently; the first arrivals race the
-		// lazy rebuild (and its carry-forward hook) against each other.
-		recs := make([]*httptest.ResponseRecorder, len(sample))
+		// Fire every read of the round concurrently; the first arrivals
+		// race the lazy rebuild (and its carry-forward hook) against each
+		// other.
+		recs := make([][3]*httptest.ResponseRecorder, len(sample))
 		var wg sync.WaitGroup
-		for i, node := range sample {
-			wg.Add(1)
-			go func(i int, node int32) {
-				defer wg.Done()
-				recs[i] = doReq(s, "GET", fmt.Sprintf("/v1/single-source?node=%d&seed=11&dense=1", node), "")
-			}(i, node)
+		for i := range sample {
+			for j, q := range queries(i) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					recs[i][j] = doReq(s, "GET", q, "")
+				}()
+			}
 		}
 		wg.Wait()
-		bodies := make([]map[string]any, len(sample))
-		for i, rec := range recs {
-			if rec.Code != 200 {
-				t.Fatalf("node %d: %d %s", sample[i], rec.Code, rec.Body.String())
-			}
-			bodies[i] = decodeBody(t, rec)
-		}
 
 		// Fresh oracle: an independent client on the committed snapshot.
 		snap, epoch, err := dyn.SnapshotEpoch()
@@ -125,18 +131,25 @@ func TestCarryForwardBitIdenticalProperty(t *testing.T) {
 		}
 		fresh := newClient(t, snap)
 		for i, node := range sample {
-			body := bodies[i]
-			if got := uint64(body["epoch"].(float64)); got != epoch {
-				t.Fatalf("round %d node %d pinned epoch %d, want %d", round, node, got, epoch)
+			var bodies [3]map[string]any
+			for j, rec := range recs[i] {
+				if rec.Code != 200 {
+					t.Fatalf("%s: %d %s", queries(i)[j], rec.Code, rec.Body.String())
+				}
+				bodies[j] = decodeBody(t, rec)
+				if got := uint64(bodies[j]["epoch"].(float64)); got != epoch {
+					t.Fatalf("round %d %s pinned epoch %d, want %d", round, queries(i)[j], got, epoch)
+				}
+				if round > 0 && bodies[j]["cache"] == "hit" {
+					hits[j]++
+				}
 			}
-			if round > 0 && body["cache"] == "hit" {
-				hits++
-			}
-			res, err := fresh.SingleSource(context.Background(), node, simpush.WithSeed(11))
+
+			res, err := fresh.SingleSource(ctx, node, simpush.WithSeed(11))
 			if err != nil {
 				t.Fatal(err)
 			}
-			served := body["dense_scores"].([]any)
+			served := bodies[0]["dense_scores"].([]any)
 			if len(served) != len(res.Scores) {
 				t.Fatalf("round %d node %d: served %d scores, fresh %d", round, node, len(served), len(res.Scores))
 			}
@@ -146,6 +159,29 @@ func TestCarryForwardBitIdenticalProperty(t *testing.T) {
 						round, node, node, v, served[v], res.Scores[v])
 				}
 			}
+
+			score, err := fresh.Pair(ctx, node, target(i), simpush.WithSeed(11))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := bodies[1]["score"].(float64); got != score {
+				t.Fatalf("round %d: served s(%d,%d)=%v, fresh Pair %v", round, node, target(i), got, score)
+			}
+
+			ranked, err := fresh.TopK(ctx, node, k, simpush.WithSeed(11))
+			if err != nil {
+				t.Fatal(err)
+			}
+			results := bodies[2]["results"].([]any)
+			if len(results) != len(ranked) {
+				t.Fatalf("round %d node %d: served %d top-k entries, fresh %d", round, node, len(results), len(ranked))
+			}
+			for r, e := range results {
+				entry := e.(map[string]any)
+				if int32(entry["node"].(float64)) != ranked[r].Node || entry["score"].(float64) != ranked[r].Score {
+					t.Fatalf("round %d node %d: served top-k #%d %v, fresh TopK %+v", round, node, r, entry, ranked[r])
+				}
+			}
 		}
 	}
 
@@ -153,8 +189,67 @@ func TestCarryForwardBitIdenticalProperty(t *testing.T) {
 	if st.Carried == 0 {
 		t.Fatalf("no entries were ever carried across an epoch (stats %+v) — the property was tested vacuously", st)
 	}
-	if hits == 0 {
-		t.Fatal("no post-mutation request was served from a carried entry")
+	for j, endpoint := range []string{"single-source", "pair", "topk"} {
+		if hits[j] == 0 {
+			t.Fatalf("no post-mutation %s request was served from a carried entry", endpoint)
+		}
+	}
+	t.Logf("post-mutation hits over %d rounds: single-source %d, pair %d, topk %d", rounds-1, hits[0], hits[1], hits[2])
+}
+
+// TestCarryGateClusteredChurn is the carry-forward gate: 24 disconnected
+// communities of 20 nodes at ε=0.1, one source cached per community, and
+// five rounds that each add one edge inside one community and re-read
+// every source. Only the mutated community's source may recompute, so
+// exactly 115 of the 120 reads hit. Without carry-forward every epoch
+// advance strands the whole cache (the epoch is in every key) and none
+// would.
+func TestCarryGateClusteredChurn(t *testing.T) {
+	const communities, size, rounds = int32(24), int32(20), int32(5)
+	dyn := clusteredDyn(t, communities, size)
+	c, err := simpush.NewClient(dyn, simpush.Options{Epsilon: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	s, err := New(Config{Client: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(community int32) string {
+		q := fmt.Sprintf("/v1/single-source?node=%d&seed=5", community*size+3)
+		rec := doReq(s, "GET", q, "")
+		if rec.Code != 200 {
+			t.Fatalf("%s: %d %s", q, rec.Code, rec.Body.String())
+		}
+		return decodeBody(t, rec)["cache"].(string)
+	}
+	for community := int32(0); community < communities; community++ {
+		read(community)
+	}
+	hits, reads := 0, 0
+	for r := int32(1); r <= rounds; r++ {
+		mutated := (13 * r) % communities
+		b := mutated * size
+		if rec := doReq(s, "POST", "/v1/edges", fmt.Sprintf(`{"from":%d,"to":%d}`, b+4, b+9+r%5)); rec.Code != 200 {
+			t.Fatalf("round %d edges: %d %s", r, rec.Code, rec.Body.String())
+		}
+		for community := int32(0); community < communities; community++ {
+			outcome := read(community)
+			reads++
+			if outcome == "hit" {
+				hits++
+			}
+			if community == mutated && outcome != "computed" {
+				t.Errorf("round %d: mutated community %d read %q, want computed", r, community, outcome)
+			}
+		}
+	}
+	if hits != 115 || reads != 120 {
+		t.Fatalf("carry hits = %d of %d reads, want 115 of 120", hits, reads)
+	}
+	if st := s.Cache().Stats(); st.Carried != 115 || st.CarryDropped != 5 {
+		t.Fatalf("cache stats %+v, want 115 carried and 5 dropped", st)
 	}
 }
 
@@ -193,7 +288,9 @@ func TestSweepOrderingKeepsCarriedEntries(t *testing.T) {
 	}
 }
 
-// Mutated-cluster entries must drop; per-query ε overrides deeper than
+// Entries whose source is in the mutated cluster must drop, whatever
+// their kind; a pair whose target is there carries, since its score is
+// read off the source's unchanged row. Per-query ε overrides deeper than
 // the delta BFS must refuse to carry, shallower ones may.
 func TestCarryRespectsAffectedSetAndEpsOverrides(t *testing.T) {
 	s, _ := newClusteredServer(t, Config{})
@@ -203,7 +300,7 @@ func TestCarryRespectsAffectedSetAndEpsOverrides(t *testing.T) {
 		"/v1/single-source?node=53&seed=2&eps=0.01", // deeper L* than the delta BFS
 		"/v1/single-source?node=78&seed=2&eps=0.1",  // shallower L*: still carriable
 		"/v1/pair?u=103&v=110&seed=2",               // cluster 4 pair: carriable
-		"/v1/pair?u=128&v=3&seed=2",                 // target in the mutated cluster: drop
+		"/v1/pair?u=128&v=3&seed=2",                 // target in the mutated cluster: the row still carries
 		"/v1/topk?node=153&k=5&seed=2",              // cluster 6 topk: support stays in-cluster
 	} {
 		if rec := doReq(s, "GET", q, ""); rec.Code != 200 {
@@ -222,7 +319,7 @@ func TestCarryRespectsAffectedSetAndEpsOverrides(t *testing.T) {
 		{"/v1/single-source?node=53&seed=2&eps=0.01", "computed"},
 		{"/v1/single-source?node=78&seed=2&eps=0.1", "hit"},
 		{"/v1/pair?u=103&v=110&seed=2", "hit"},
-		{"/v1/pair?u=128&v=3&seed=2", "computed"},
+		{"/v1/pair?u=128&v=3&seed=2", "hit"},
 		{"/v1/topk?node=153&k=5&seed=2", "hit"},
 	}
 	for _, tc := range cases {
@@ -230,21 +327,6 @@ func TestCarryRespectsAffectedSetAndEpsOverrides(t *testing.T) {
 		if body["cache"] != tc.want {
 			t.Errorf("%s after mutation: cache = %v, want %v", tc.query, body["cache"], tc.want)
 		}
-	}
-}
-
-func TestCarryForwardDisabled(t *testing.T) {
-	s, _ := newClusteredServer(t, Config{DisableCarryForward: true})
-	doReq(s, "GET", "/v1/single-source?node=30&seed=4", "")
-	if rec := doReq(s, "POST", "/v1/edges", `{"from":0,"to":12}`); rec.Code != 200 {
-		t.Fatalf("edges: %d %s", rec.Code, rec.Body.String())
-	}
-	body := decodeBody(t, doReq(s, "GET", "/v1/single-source?node=30&seed=4", ""))
-	if body["cache"] != "computed" {
-		t.Fatalf("with carry disabled, post-mutation query = %v, want computed", body["cache"])
-	}
-	if _, ok := obs.FindSample(scrape(t, s), "simrankd_delta_commits_total", nil); ok {
-		t.Fatal("/metricsz reports delta counters with carry-forward disabled")
 	}
 }
 

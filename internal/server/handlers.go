@@ -54,16 +54,22 @@ func mapError(err error) *httpError {
 	}
 }
 
-// maxRetryAfterSec clamps the adaptive Retry-After estimate so a burst of
-// pathologically slow queries cannot tell clients to stay away for hours.
-const maxRetryAfterSec = 60
+// The 429 Retry-After, in seconds, is estimated from the backlog and the
+// observed service rate. retryAfterFallbackSec answers before the server
+// has seen a computation finish; maxRetryAfterSec clamps the estimate so
+// a burst of pathologically slow queries cannot tell clients to stay away
+// for hours.
+const (
+	retryAfterFallbackSec = 1
+	maxRetryAfterSec      = 60
+)
 
 func (s *Server) writeError(w http.ResponseWriter, he *httpError) {
 	if he.status == http.StatusTooManyRequests {
 		// Derived from the live backlog and observed service rate, not a
 		// constant: under a shallow queue clients come back almost at once,
 		// under a deep one they actually wait long enough to find a slot.
-		sec := s.adm.estimateRetryAfter(s.cfg.RetryAfter, maxRetryAfterSec)
+		sec := s.adm.estimateRetryAfter(retryAfterFallbackSec, maxRetryAfterSec)
 		w.Header().Set("Retry-After", strconv.Itoa(sec))
 	}
 	writeJSON(w, he.status, errorBody(w, he.msg, he.code))
@@ -261,51 +267,6 @@ func (s *Server) pinView(ctx context.Context) (*simpush.View, *httpError) {
 	return view, nil
 }
 
-// admitted wraps an engine computation in admission control: it consumes
-// one in-flight slot (possibly waiting in the bounded queue) for the
-// duration of compute. A queued wait becomes an admission_wait span.
-//
-// The trace is passed explicitly rather than read from ctx: a coalesced
-// computation runs under the cache's flight context, which is detached
-// from any single request, so only the leader's captured trace reaches
-// this point.
-func admitted[T any](s *Server, ctx context.Context, tr *obs.Trace, compute func() (T, error)) (T, error) {
-	var zero T
-	wait, err := s.adm.acquire(ctx)
-	if err != nil {
-		return zero, err
-	}
-	if wait > 0 && tr.Enabled() {
-		tr.Span("admission_wait", time.Now().Add(-wait), wait)
-	}
-	t0 := time.Now()
-	defer func() {
-		s.adm.recordService(time.Since(t0), 1)
-		s.adm.release()
-	}()
-	return compute()
-}
-
-// flightCompute wraps a coalesced engine computation: the flight context
-// the cache supplies (cancelled only when every interested caller has
-// left) is capped by the server-side maximum timeout, and the work runs
-// under admission control.
-func flightCompute[T any](s *Server, fctx context.Context, tr *obs.Trace, compute func(context.Context) (T, error)) (any, error) {
-	cctx, cancel := context.WithTimeout(fctx, s.cfg.MaxTimeout)
-	defer cancel()
-	return admitted(s, cctx, tr, func() (T, error) {
-		return compute(cctx)
-	})
-}
-
-// noteEngineResult folds one computed result's stage durations into the
-// cumulative stage counters and, when tracing, into the leader's trace
-// as four engine-stage spans.
-func (s *Server) noteEngineResult(tr *obs.Trace, d simpush.StageDurations) {
-	s.recordStages(d)
-	tr.EngineStages(d.Walk, d.SourcePush, d.Gamma, d.ReversePush)
-}
-
 // outcomePath maps a cache outcome to a latency-histogram path: only the
 // caller that actually ran the engine is an engine sample; hits and
 // coalesced shares both measure the cache/wait path.
@@ -316,14 +277,33 @@ func outcomePath(o cache.Outcome) int {
 	return pathCache
 }
 
-// GET /v1/single-source?node=&eps=&delta=&seed=&max_walks=&timeout=&dense=
-func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
+// readSpec is what one GET read endpoint adds to the shared read path:
+// its source node, its cache key's aux dimension, how its cached value
+// derives from the engine result, and its response body.
+type readSpec struct {
+	node int32
+	aux  int64
+	// target, when set, must be a node of the pinned view (pair's v). It
+	// is checked before the cache lookup, so a bad target never takes an
+	// admission slot.
+	target *int32
+	value  func(*simpush.Result) any
+	// body builds the endpoint's response from the cached value; the read
+	// path adds "epoch" and "cache".
+	body func(v any) map[string]any
+}
+
+// serveRead is the one read path of /v1/single-source, /v1/topk and
+// /v1/pair: query parameters, deadline, pinned view, cache lookup (an
+// admitted engine run on a miss), spans, latency histogram and error
+// mapping. parse reads the endpoint's own parameters.
+func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, kind int, parse func(*http.Request) (readSpec, *httpError)) {
 	if r.Method != http.MethodGet {
 		writeMethodNotAllowed(w, http.MethodGet)
 		return
 	}
 	start := time.Now()
-	u, herr := parseNode(r, "node")
+	rd, herr := parse(r)
 	if herr != nil {
 		s.writeError(w, herr)
 		return
@@ -344,19 +324,19 @@ func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, herr)
 		return
 	}
+	if rd.target != nil {
+		if g := view.Graph(); !g.HasNode(*rd.target) {
+			s.writeError(w, mapError(fmt.Errorf("simpush: %w: target node %d not in [0, %d)",
+				simpush.ErrNodeOutOfRange, *rd.target, g.N())))
+			return
+		}
+	}
 
 	tr := obs.FromContext(r.Context())
-	key := cache.Key{Epoch: view.Epoch(), Kind: "single-source", Node: u, Params: qp.canonical()}
+	key := cache.Key{Epoch: view.Epoch(), Kind: kindNames[kind], Node: rd.node, Aux: rd.aux, Params: qp.canonical()}
 	cStart := tr.Now()
 	v, outcome, err := s.cache.Do(ctx, key, func(fctx context.Context) (any, error) {
-		return flightCompute(s, fctx, tr, func(cctx context.Context) (*simpush.Result, error) {
-			res, err := view.SingleSource(cctx, u, qp.options()...)
-			if err != nil {
-				return nil, err
-			}
-			s.noteEngineResult(tr, res.Durations)
-			return res, nil
-		})
+		return s.computeRead(fctx, tr, view, rd, qp)
 	})
 	tr.SpanSince("cache", cStart)
 	if err != nil {
@@ -364,163 +344,122 @@ func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tr.SetCache(outcome.String())
-	s.observeLatency(kSingleSource, outcomePath(outcome), time.Since(start))
-	res := v.(*simpush.Result)
-
-	resp := map[string]any{
-		"node":  u,
-		"epoch": view.Epoch(),
-		"cache": outcome.String(),
-		"n":     len(res.Scores),
-		"l":     res.L,
-		"walks": res.Walks,
-	}
-	if r.URL.Query().Get("dense") == "1" {
-		resp["dense_scores"] = res.Scores
-	} else {
-		sp := sparseScores(res.Scores)
-		resp["nnz"] = len(sp)
-		resp["scores"] = sp
-	}
+	s.observeLatency(kind, outcomePath(outcome), time.Since(start))
+	resp := rd.body(v)
+	resp["epoch"] = view.Epoch()
+	resp["cache"] = outcome.String()
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// computeRead is a cache miss's engine run. The flight context the cache
+// supplies (cancelled only when every interested caller has left) is
+// capped by the server-side maximum timeout, and the run holds one
+// admission slot; a queued wait becomes an admission_wait span.
+//
+// The trace is passed explicitly rather than read from ctx: a coalesced
+// computation runs under the cache's flight context, which is detached
+// from any single request, so only the leader's captured trace reaches
+// this point.
+func (s *Server) computeRead(fctx context.Context, tr *obs.Trace, view *simpush.View, rd readSpec, qp queryParams) (any, error) {
+	ctx, cancel := context.WithTimeout(fctx, s.cfg.MaxTimeout)
+	defer cancel()
+	wait, err := s.adm.acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if wait > 0 && tr.Enabled() {
+		tr.Span("admission_wait", time.Now().Add(-wait), wait)
+	}
+	t0 := time.Now()
+	defer func() {
+		s.adm.recordService(time.Since(t0), 1)
+		s.adm.release()
+	}()
+	res, err := view.SingleSource(ctx, rd.node, qp.options()...)
+	if err != nil {
+		return nil, err
+	}
+	// The stage durations feed the cumulative stage counters and, when
+	// tracing, four engine-stage spans on the leader's trace.
+	d := res.Durations
+	s.recordStages(d)
+	tr.EngineStages(d.Walk, d.SourcePush, d.Gamma, d.ReversePush)
+	return rd.value(res), nil
+}
+
+// GET /v1/single-source?node=&eps=&delta=&seed=&max_walks=&timeout=&dense=
+func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
+	s.serveRead(w, r, kSingleSource, func(r *http.Request) (readSpec, *httpError) {
+		u, herr := parseNode(r, "node")
+		if herr != nil {
+			return readSpec{}, herr
+		}
+		dense := r.URL.Query().Get("dense") == "1"
+		return readSpec{
+			node:  u,
+			value: func(res *simpush.Result) any { return res },
+			body: func(v any) map[string]any {
+				res := v.(*simpush.Result)
+				resp := map[string]any{"node": u, "n": len(res.Scores), "l": res.L, "walks": res.Walks}
+				if dense {
+					resp["dense_scores"] = res.Scores
+				} else {
+					sp := sparseScores(res.Scores)
+					resp["nnz"] = len(sp)
+					resp["scores"] = sp
+				}
+				return resp
+			},
+		}, nil
+	})
 }
 
 // GET /v1/topk?node=&k=&eps=&delta=&seed=&max_walks=&timeout=
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeMethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	start := time.Now()
-	u, herr := parseNode(r, "node")
-	if herr != nil {
-		s.writeError(w, herr)
-		return
-	}
-	k := 10
-	if v := r.URL.Query().Get("k"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			s.writeError(w, httpErrf(http.StatusBadRequest, "bad_parameter", "k must be a positive integer"))
-			return
+	s.serveRead(w, r, kTopK, func(r *http.Request) (readSpec, *httpError) {
+		u, herr := parseNode(r, "node")
+		if herr != nil {
+			return readSpec{}, herr
 		}
-		k = n
-	}
-	qp, herr := s.parseQueryParams(r)
-	if herr != nil {
-		s.writeError(w, herr)
-		return
-	}
-	ctx, cancel, herr := s.requestCtx(r)
-	if herr != nil {
-		s.writeError(w, herr)
-		return
-	}
-	defer cancel()
-	view, herr := s.pinView(ctx)
-	if herr != nil {
-		s.writeError(w, herr)
-		return
-	}
-
-	tr := obs.FromContext(r.Context())
-	key := cache.Key{Epoch: view.Epoch(), Kind: "topk", Node: u, Aux: int64(k), Params: qp.canonical()}
-	cStart := tr.Now()
-	v, outcome, err := s.cache.Do(ctx, key, func(fctx context.Context) (any, error) {
-		return flightCompute(s, fctx, tr, func(cctx context.Context) ([]simpush.Ranked, error) {
-			// Run the underlying single-source query directly (View.TopK is
-			// exactly this) so the stage durations are available for the
-			// trace and the cumulative counters.
-			res, err := view.SingleSource(cctx, u, qp.options()...)
-			if err != nil {
-				return nil, err
+		k := 10
+		if v := r.URL.Query().Get("k"); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 1 {
+				return readSpec{}, httpErrf(http.StatusBadRequest, "bad_parameter", "k must be a positive integer")
 			}
-			s.noteEngineResult(tr, res.Durations)
-			return simpush.TopK(res.Scores, k, u), nil
-		})
-	})
-	tr.SpanSince("cache", cStart)
-	if err != nil {
-		s.writeError(w, mapError(err))
-		return
-	}
-	tr.SetCache(outcome.String())
-	s.observeLatency(kTopK, outcomePath(outcome), time.Since(start))
-	writeJSON(w, http.StatusOK, map[string]any{
-		"node":    u,
-		"k":       k,
-		"epoch":   view.Epoch(),
-		"cache":   outcome.String(),
-		"results": rankedEntries(v.([]simpush.Ranked)),
+			k = n
+		}
+		return readSpec{
+			node:  u,
+			aux:   int64(k),
+			value: func(res *simpush.Result) any { return simpush.TopK(res.Scores, k, u) },
+			body: func(v any) map[string]any {
+				return map[string]any{"node": u, "k": k, "results": rankedEntries(v.([]simpush.Ranked))}
+			},
+		}, nil
 	})
 }
 
 // GET /v1/pair?u=&v=&eps=&delta=&seed=&max_walks=&timeout=
 func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeMethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	start := time.Now()
-	u, herr := parseNode(r, "u")
-	if herr != nil {
-		s.writeError(w, herr)
-		return
-	}
-	vNode, herr := parseNode(r, "v")
-	if herr != nil {
-		s.writeError(w, herr)
-		return
-	}
-	qp, herr := s.parseQueryParams(r)
-	if herr != nil {
-		s.writeError(w, herr)
-		return
-	}
-	ctx, cancel, herr := s.requestCtx(r)
-	if herr != nil {
-		s.writeError(w, herr)
-		return
-	}
-	defer cancel()
-	view, herr := s.pinView(ctx)
-	if herr != nil {
-		s.writeError(w, herr)
-		return
-	}
-
-	tr := obs.FromContext(r.Context())
-	key := cache.Key{Epoch: view.Epoch(), Kind: "pair", Node: u, Aux: int64(vNode), Params: qp.canonical()}
-	cStart := tr.Now()
-	val, outcome, err := s.cache.Do(ctx, key, func(fctx context.Context) (any, error) {
-		return flightCompute(s, fctx, tr, func(cctx context.Context) (float64, error) {
-			// Inline View.Pair (target check + single-source + read-off) so
-			// the stage durations are available for the trace and counters.
-			if g := view.Graph(); !g.HasNode(vNode) {
-				return 0, fmt.Errorf("simpush: %w: target node %d not in [0, %d)",
-					simpush.ErrNodeOutOfRange, vNode, g.N())
-			}
-			res, err := view.SingleSource(cctx, u, qp.options()...)
-			if err != nil {
-				return 0, err
-			}
-			s.noteEngineResult(tr, res.Durations)
-			return res.Scores[vNode], nil
-		})
-	})
-	tr.SpanSince("cache", cStart)
-	if err != nil {
-		s.writeError(w, mapError(err))
-		return
-	}
-	tr.SetCache(outcome.String())
-	s.observeLatency(kPair, outcomePath(outcome), time.Since(start))
-	writeJSON(w, http.StatusOK, map[string]any{
-		"u":     u,
-		"v":     vNode,
-		"epoch": view.Epoch(),
-		"cache": outcome.String(),
-		"score": val.(float64),
+	s.serveRead(w, r, kPair, func(r *http.Request) (readSpec, *httpError) {
+		u, herr := parseNode(r, "u")
+		if herr != nil {
+			return readSpec{}, herr
+		}
+		target, herr := parseNode(r, "v")
+		if herr != nil {
+			return readSpec{}, herr
+		}
+		return readSpec{
+			node:   u,
+			aux:    int64(target),
+			target: &target,
+			value:  func(res *simpush.Result) any { return res.Scores[target] },
+			body: func(v any) map[string]any {
+				return map[string]any{"u": u, "v": target, "score": v.(float64)}
+			},
+		}, nil
 	})
 }
 
@@ -591,7 +530,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var missing []int32
 	cached := 0
 	for i, node := range req.Nodes {
-		key := cache.Key{Epoch: view.Epoch(), Kind: "single-source", Node: node, Params: params}
+		key := cache.Key{Epoch: view.Epoch(), Kind: kindNames[kSingleSource], Node: node, Params: params}
 		if v, ok := s.cache.Get(key); ok {
 			rows[i] = v.(*simpush.Result)
 			cached++
@@ -640,7 +579,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			for _, i := range idxByNode[missing[j]] {
 				rows[i] = res
 			}
-			key := cache.Key{Epoch: view.Epoch(), Kind: "single-source", Node: missing[j], Params: params}
+			key := cache.Key{Epoch: view.Epoch(), Kind: kindNames[kSingleSource], Node: missing[j], Params: params}
 			s.cache.Put(key, res)
 		}
 	}

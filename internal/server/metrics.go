@@ -57,7 +57,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	mw.Counter("simrankd_cache_carry_dropped_total", "Carry-forward candidates dropped (affected, raced, or Total fallback).")
 	mw.Sample("simrankd_cache_carry_dropped_total", nil, float64(cs.CarryDropped))
 
-	if s.dyn != nil && !s.cfg.DisableCarryForward {
+	if s.dyn != nil {
 		mw.Gauge("simrankd_delta_affected_nodes", "Affected-set size of the most recent epoch delta.")
 		mw.Sample("simrankd_delta_affected_nodes", nil, float64(s.deltaAffectedLast.Load()))
 		mw.Counter("simrankd_delta_commits_total", "Committed epoch advances seen by the carry-forward hook.")
@@ -84,7 +84,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	mw.Sample("simrankd_admission_wait_seconds_total", nil, float64(s.adm.waitNanos.Load())/1e9)
 	mw.Gauge("simrankd_admission_retry_after_seconds", "Retry-After a 429 issued now would carry.")
 	mw.Sample("simrankd_admission_retry_after_seconds", nil,
-		float64(s.adm.estimateRetryAfter(s.cfg.RetryAfter, maxRetryAfterSec)))
+		float64(s.adm.estimateRetryAfter(retryAfterFallbackSec, maxRetryAfterSec)))
 
 	qs := s.client.Stats()
 	mw.Counter("simrankd_client_queries_total", "Engine queries run by the embedded client.")

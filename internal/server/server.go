@@ -72,12 +72,6 @@ type Config struct {
 	// (default 256).
 	MaxBatch int
 
-	// RetryAfter is the fallback Retry-After on 429 responses, in seconds
-	// (default 1), used until the server has observed enough completed
-	// computations to estimate queue drain time from the backlog and the
-	// measured service rate.
-	RetryAfter int
-
 	// Role places the server in a replicated cluster: RoleLeader serves
 	// the mutation feed at /v1/replication, RoleFollower replays one (see
 	// LeaderURL) and rejects direct writes. The default, RoleStandalone,
@@ -94,26 +88,6 @@ type Config struct {
 	// window cannot catch up incrementally and must restart from the
 	// leader's base graph.
 	ReplicationLog int
-
-	// DisableCarryForward turns off epoch-delta cache carry-forward for
-	// dynamic sources: every epoch advance then abandons the whole cache
-	// again (the pre-carry behavior). Escape hatch for debugging; the
-	// default (carry enabled) is strictly better under mutation.
-	DisableCarryForward bool
-
-	// DeltaDepth overrides the affected-set BFS depth used to judge which
-	// cached results a mutation can have changed. 0 (the default) uses
-	// the engine's own walk-depth truncation bound L*, which covers
-	// everything a default-ε query reads; setting it lower trades carry
-	// coverage for cheaper deltas (entries needing deeper reads are
-	// dropped instead of carried).
-	DeltaDepth int
-
-	// DeltaBudget caps the affected-set size before a delta falls back
-	// to dropping the whole cache (EpochDelta.Total). 0 (the default)
-	// auto-sizes to half the graph's startup node count (min 1024);
-	// negative means unbounded.
-	DeltaBudget int
 
 	// TraceRing retains the last N completed query traces for GET
 	// /debug/queries. 0 (the default) keeps no ring. Tracing — span
@@ -174,9 +148,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 1
-	}
 	if c.Role == "" {
 		c.Role = RoleStandalone
 	}
@@ -216,12 +187,11 @@ type Server struct {
 	lastEpoch  atomic.Uint64             // highest epoch seen; drives opportunistic sweeps
 	stageNanos [stageCount]atomic.Uint64 // cumulative engine-stage wall time
 
-	// Epoch-delta carry-forward state (see delta.go). The resolved depth
-	// and engine options are written once in New and read-only
-	// afterwards; the counters are updated by the commit hook.
+	// Epoch-delta carry-forward state (see delta.go). The engine options
+	// and the BFS depth are written once in New and read-only afterwards;
+	// the counters are updated by the commit hook.
 	engineOpts        simpush.Options
-	deltaDepth        int
-	carryDefaultSafe  bool
+	carryDepth        int
 	deltas            atomic.Uint64
 	deltaTotals       atomic.Uint64
 	deltaAffectedLast atomic.Uint64
@@ -291,9 +261,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if dyn, ok := cfg.Client.Source().(*simpush.DynamicGraph); ok {
 		s.dyn = dyn
-		if !cfg.DisableCarryForward {
-			s.installCarryForward()
-		}
+		s.installCarryForward()
 	}
 	if err := validateRole(cfg.Role); err != nil {
 		return nil, err

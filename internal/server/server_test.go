@@ -129,6 +129,8 @@ func TestHandlerTable(t *testing.T) {
 		{"k < 1", "GET", "/v1/topk?node=1&k=0", "", 400, "bad_parameter"},
 		{"pair missing v", "GET", "/v1/pair?u=1", "", 400, "missing_parameter"},
 		{"pair bad target", "GET", "/v1/pair?u=1&v=12345", "", 404, "node_not_found"},
+		{"pair negative target", "GET", "/v1/pair?u=1&v=-1", "", 404, "node_not_found"},
+		{"method mismatch pair", "POST", "/v1/pair?u=1&v=2", "", 405, "method_not_allowed"},
 		{"batch via GET", "GET", "/v1/batch", "", 405, "method_not_allowed"},
 		{"batch bad body", "POST", "/v1/batch", "{", 400, "bad_body"},
 		{"batch empty", "POST", "/v1/batch", `{"nodes":[]}`, 400, "missing_parameter"},
@@ -382,7 +384,7 @@ func TestSingleFlight(t *testing.T) {
 // TestAdmissionControl drives the controller to saturation and checks the
 // HTTP surface: a request that cannot even queue gets 429 + Retry-After.
 func TestAdmissionControl(t *testing.T) {
-	s := newStaticServer(t, Config{MaxInFlight: 1, MaxQueue: 1, RetryAfter: 3})
+	s := newStaticServer(t, Config{MaxInFlight: 1, MaxQueue: 1})
 
 	// Occupy the only slot, then park a waiter in the only queue seat.
 	if _, err := s.adm.acquire(t.Context()); err != nil {
@@ -405,8 +407,9 @@ func TestAdmissionControl(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated request status = %d %s", rec.Code, rec.Body.String())
 	}
-	if got := rec.Header().Get("Retry-After"); got != "3" {
-		t.Fatalf("Retry-After = %q, want \"3\"", got)
+	// No computation has finished yet, so the estimate falls back to 1s.
+	if got := rec.Header().Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After = %q, want \"1\"", got)
 	}
 	if decodeBody(t, rec)["code"] != "saturated" {
 		t.Fatal("saturated request must carry code \"saturated\"")

@@ -72,7 +72,7 @@ type ClassReport struct {
 }
 
 // Report is the scored outcome of one workload run — the per-scenario
-// record BENCH_PR8.json aggregates.
+// record simload's -out document aggregates.
 type Report struct {
 	Scenario        string  `json:"scenario"`
 	Description     string  `json:"description,omitempty"`

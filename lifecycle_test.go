@@ -92,8 +92,14 @@ func TestClientCloseDrainsInFlight(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Close returned, so the query must already be complete — and
-	// successfully: a drain never cancels work it waited for.
+	// Close returned, so the query must already be complete. The query
+	// goroutine sends its outcome only after SingleSource returns, which
+	// is after Close's wait was released, so completion is read from the
+	// in-flight count; the outcome then arrives in bounded time.
+	if n := c.Stats().InFlight; n != 0 {
+		t.Fatalf("Close returned with %d queries in flight", n)
+	}
+	// A drain never cancels work it waited for: the query succeeded.
 	select {
 	case out := <-queryDone:
 		if out.err != nil {
@@ -102,8 +108,8 @@ func TestClientCloseDrainsInFlight(t *testing.T) {
 		if out.res.Scores[7] != 1 {
 			t.Fatal("in-flight query returned a corrupt result")
 		}
-	default:
-		t.Fatal("Close returned before the in-flight query completed")
+	case <-time.After(5 * time.Second):
+		t.Fatal("the drained query never delivered its outcome")
 	}
 }
 

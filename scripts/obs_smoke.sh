@@ -7,18 +7,18 @@
 #  2. /metricsz on simrankd AND simproxy parses against the Prometheus
 #     text exposition grammar (plain grep/awk, no external deps);
 #  3. a tracing-disabled simload run still passes end to end and its
-#     report carries the /metricsz-scraped metrics_delta block
-#     (-> BENCH_PR9.json, the observability-era SLO record).
+#     report carries the /metricsz-scraped metrics_delta block.
 #
-# Used by CI and runnable locally: make obs-smoke [OUT=BENCH_PR9.json]
+# Used by CI and runnable locally: make obs-smoke [OUT=report.json]
+# (without OUT the report is written to the temp dir and removed at exit).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${OUT:-BENCH_PR9.json}"
 DURATION="${DURATION:-3s}"
 RATE_SCALE="${RATE_SCALE:-0.3}"
 
 tmp=$(mktemp -d)
+OUT="${OUT:-$tmp/report.json}"
 pids=()
 cleanup() {
   for p in "${pids[@]:-}"; do kill "$p" 2>/dev/null || true; done
@@ -144,7 +144,7 @@ done
 grep -q '^simproxy_replica_up{replica="[^"]*"} 1' "$tmp/p.prom" \
   || fail "proxy /metricsz shows no healthy replica"
 
-### Part 3: tracing-disabled SLO run -> BENCH_PR9.json with metrics_delta.
+### Part 3: tracing-disabled SLO run -> $OUT with metrics_delta.
 
 "$tmp/simrankd" -graph "$tmp/g.txt" -addr 127.0.0.1:0 -eps 0.1 \
   -trace-queries 0 -slow-query-ms 0 2> "$tmp/d2.log" &

@@ -2,16 +2,16 @@
 # Smoke test for the workload subsystem: build simrankd + simload, boot
 # the daemon on a fixture graph, run every scenario preset short-mode,
 # and assert the emitted BENCH JSON parses with every SLO field present.
-# Used by CI (the JSON is uploaded as an artifact) and runnable locally:
-# make workload-smoke [OUT=BENCH_PR8.json]
+# Used by CI and runnable locally: make workload-smoke [OUT=report.json]
+# (without OUT the report is written to the temp dir and removed at exit).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${OUT:-BENCH_PR8.json}"
 DURATION="${DURATION:-3s}"
 RATE_SCALE="${RATE_SCALE:-0.3}"
 
 tmp=$(mktemp -d)
+OUT="${OUT:-$tmp/report.json}"
 pid=""
 cleanup() {
   [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
