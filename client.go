@@ -19,7 +19,8 @@ var (
 	// ErrNodeOutOfRange reports a query or target node id outside [0, n).
 	ErrNodeOutOfRange = core.ErrNodeOutOfRange
 	// ErrInvalidOptions reports out-of-domain engine options or per-query
-	// overrides (ε, δ or c outside (0,1), k < 0, bad parallelism, …).
+	// overrides (ε, δ or c outside (0,1) or non-finite, an ε too small
+	// for the level-detection sample, k < 0, …).
 	ErrInvalidOptions = core.ErrInvalidOptions
 	// ErrClientClosed reports a query issued after Client.Close. Closed
 	// clients fail fast instead of touching the engine pool, so a serving
@@ -55,22 +56,6 @@ func WithSeed(seed uint64) QueryOption {
 // query (0 removes the cap). Capping voids the δ guarantee.
 func WithMaxWalks(n int) QueryOption {
 	return func(q *core.QueryOpts) { q.MaxWalks = n; q.HasMaxWalks = true }
-}
-
-// WithParallelism sets the intra-query worker count for one query: walk
-// sampling, the γ loop, and Reverse-Push level sweeps fan out across k
-// goroutines (0 or 1 = serial, the default). Results are deterministic in
-// (seed, k) — independent of GOMAXPROCS — but different k values yield
-// slightly different (equally valid within ε) estimates, so pin k along
-// with the seed when reproducibility matters. Combine with the client's
-// Options.Parallelism field to set an engine-wide default instead.
-//
-// Parallelism multiplies a query's CPU footprint; when queries already
-// run concurrently (BatchSingleSource, a serving layer), keep
-// concurrency × k within the core budget. BatchSingleSource's default
-// worker count divides GOMAXPROCS by k automatically.
-func WithParallelism(k int) QueryOption {
-	return func(q *core.QueryOpts) { q.Parallelism = k; q.HasParallelism = true }
 }
 
 func buildQueryOpts(opts []QueryOption) core.QueryOpts {
@@ -366,17 +351,7 @@ func (c *Client) batchSingleSourceOn(ctx context.Context, g *Graph, queries []in
 	defer func() { c.end(err) }()
 	qo := buildQueryOpts(opts)
 	if parallelism <= 0 {
-		// Divide the core budget between batch workers and intra-query
-		// workers: a batch of queries that each fan out k-wide must not
-		// oversubscribe GOMAXPROCS² goroutines' worth of work.
-		intra := c.opt.Parallelism
-		if qo.HasParallelism {
-			intra = qo.Parallelism
-		}
-		if intra < 1 {
-			intra = 1
-		}
-		parallelism = runtime.GOMAXPROCS(0) / intra
+		parallelism = runtime.GOMAXPROCS(0)
 	}
 	if parallelism > len(queries) {
 		parallelism = len(queries)

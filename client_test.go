@@ -351,94 +351,3 @@ func TestClientBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// WithParallelism fans one query across intra-query workers: seeded
-// results are deterministic in (seed, k), differ from serial only within
-// the ε guarantee, and the option composes with the engine-level
-// Options.Parallelism default and the batch path (whose default worker
-// count divides the core budget by k instead of oversubscribing).
-func TestClientWithParallelism(t *testing.T) {
-	g, err := SyntheticWebGraph(2000, 6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewClient(g, Options{Epsilon: 0.05, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-
-	a, err := c.SingleSource(ctx, 7, WithSeed(9), WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.SingleSource(ctx, 7, WithSeed(9), WithParallelism(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := c.SingleSource(ctx, 7, WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range a.Scores {
-		if a.Scores[v] != b.Scores[v] {
-			t.Fatalf("seeded parallel query not deterministic at v=%d", v)
-		}
-		if d := a.Scores[v] - serial.Scores[v]; d > 0.1 || d < -0.1 {
-			t.Fatalf("parallel vs serial at v=%d differ by %v", v, d)
-		}
-	}
-
-	if _, err := c.SingleSource(ctx, 7, WithParallelism(-1)); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("negative parallelism accepted: %v", err)
-	}
-
-	// Batch with per-query parallelism: the default batch width divides
-	// GOMAXPROCS by k (never below one worker), and results still land.
-	res, err := c.BatchSingleSource(ctx, []int32{1, 2, 3, 4}, 0, WithParallelism(runtime.GOMAXPROCS(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if r == nil || r.Scores[[]int32{1, 2, 3, 4}[i]] != 1 {
-			t.Fatalf("batch result %d missing or wrong", i)
-		}
-	}
-}
-
-// An engine-level Parallelism default applies to every query without
-// per-query options.
-func TestClientEngineParallelismDefault(t *testing.T) {
-	g, err := SyntheticWebGraph(1500, 6, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewClient(g, Options{Epsilon: 0.05, Seed: 2, Parallelism: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	res, err := c.SingleSource(context.Background(), 11, WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Scores[11] != 1 {
-		t.Fatal("self score != 1")
-	}
-	// The same seeded query through a serial client differs only within ε.
-	cs, err := NewClient(g, Options{Epsilon: 0.05, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cs.Close()
-	ser, err := cs.SingleSource(context.Background(), 11, WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range res.Scores {
-		if d := res.Scores[v] - ser.Scores[v]; d > 0.1 || d < -0.1 {
-			t.Fatalf("parallel-default vs serial at v=%d differ by %v", v, d)
-		}
-	}
-}

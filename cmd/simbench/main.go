@@ -22,15 +22,6 @@
 //	simbench -exp fig4 -scale 0.25 -queries 5 -datasets in2004-sim,dblp-sim
 //
 // Load against a running simrankd or simproxy is cmd/simload's job.
-//
-// Parallelism mode (-parallelism k, k > 1) measures intra-query speedup:
-// it runs the same seeded single-source queries serially and with
-// WithParallelism(k), alternating which runs first, and prints per-stage
-// (walk, Source-Push, γ, Reverse-Push) and end-to-end serial-vs-parallel
-// ratios from StageDurations, each with the quartiles of its per-query
-// ratios:
-//
-//	simbench -parallelism 8 -datasets dblp-sim -scale 0.25 -queries 20
 package main
 
 import (
@@ -58,23 +49,8 @@ func main() {
 		methods      = flag.String("methods", "", "comma-separated method filter")
 		seed         = flag.Uint64("seed", 0x51e9a7, "random seed")
 		verbose      = flag.Bool("v", true, "progress logging to stderr")
-		parallelism  = flag.Int("parallelism", 0, "measure intra-query speedup: serial vs this many workers per query (>1 activates)")
 	)
 	flag.Parse()
-
-	if *parallelism > 1 {
-		dss, err := selectDatasets(*datasets)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simbench:", err)
-			os.Exit(2)
-		}
-		popt := parallelOptions{k: *parallelism, scale: *scale, queries: *queries, seed: *seed}
-		if err := runParallelBench(os.Stdout, dss, popt); err != nil {
-			fmt.Fprintln(os.Stderr, "simbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	opt := bench.Options{
 		Scale:         *scale,

@@ -78,7 +78,6 @@ type daemonConfig struct {
 	cacheEntries int
 	maxInFlight  int
 	maxQueue     int
-	maxParallel  int
 	timeout      time.Duration
 	maxTimeout   time.Duration
 	maxBatch     int
@@ -110,7 +109,6 @@ func main() {
 	flag.IntVar(&cfg.cacheEntries, "cache-entries", 0, "result cache bound (0 auto-sizes from a ~256MB budget and the graph size; negative disables caching, keeps coalescing)")
 	flag.IntVar(&cfg.maxInFlight, "max-inflight", 0, "concurrent engine computations (0 = 2×GOMAXPROCS)")
 	flag.IntVar(&cfg.maxQueue, "max-queue", 0, "requests allowed to wait for a slot (0 = 4×max-inflight)")
-	flag.IntVar(&cfg.maxParallel, "max-parallelism", 0, "cap on the ?parallelism intra-query worker parameter (0 = GOMAXPROCS)")
 	flag.DurationVar(&cfg.timeout, "timeout", 10*time.Second, "default per-request deadline")
 	flag.DurationVar(&cfg.maxTimeout, "max-timeout", time.Minute, "upper bound on the ?timeout parameter")
 	flag.IntVar(&cfg.maxBatch, "max-batch", 256, "max nodes per /v1/batch request")
@@ -194,7 +192,6 @@ func run(ctx context.Context, cfg daemonConfig, ready chan<- string) error {
 		CacheEntries:   cfg.cacheEntries,
 		MaxInFlight:    cfg.maxInFlight,
 		MaxQueue:       cfg.maxQueue,
-		MaxParallelism: cfg.maxParallel,
 		DefaultTimeout: cfg.timeout,
 		MaxTimeout:     cfg.maxTimeout,
 		MaxBatch:       cfg.maxBatch,

@@ -5,7 +5,7 @@ import "time"
 // stageNow is the engine's only wall-clock read. Stage timings feed
 // Result.Durations — observability surfaced in /metricsz and simbench —
 // and never influence scores, sampling, or control flow, so they are
-// compatible with the fixed-(seed, parallelism) determinism contract.
+// compatible with the fixed-seed determinism contract.
 // Confining the read here keeps detmerge's no-wall-clock rule meaningful
 // for the rest of the package: any other time.Now is a real violation.
 func stageNow() time.Time {

@@ -4,8 +4,6 @@ import "context"
 
 // gammaScratch is the Algorithm 4 working set: dense ρ values over
 // attention indices plus the touched list that resets them in O(touched).
-// The engine owns one for the serial path; each parallel worker owns its
-// own, so concurrent computeGamma calls never share state.
 type gammaScratch struct {
 	rhoVal     []float64
 	rhoIn      []bool
@@ -26,17 +24,8 @@ func (gs *gammaScratch) memoryBytes() int64 {
 	return int64(len(gs.rhoVal))*8 + int64(len(gs.rhoIn)) + int64(cap(gs.rhoTouched))*4
 }
 
-// computeGammas runs Algorithm 4 for every attention node — serially, or
-// sharded across the query's workers (the invocations are independent:
-// each reads only the shared hitting vectors and writes one gamma field).
+// computeGammas runs Algorithm 4 for every attention node.
 func (sp *SimPush) computeGammas(ctx context.Context, qs *queryState) error {
-	k := qs.workers()
-	if k > len(qs.att) {
-		k = len(qs.att)
-	}
-	if k > 1 {
-		return sp.computeGammasParallel(ctx, qs, k)
-	}
 	sp.gamma.ensure(len(qs.att))
 	for i := range qs.att {
 		if i%gammaCtxStride == 0 {
@@ -87,9 +76,7 @@ func computeGamma(qs *queryState, attIdx int32, gs *gammaScratch) float64 {
 		gs.rhoTouched = append(gs.rhoTouched, e.a)
 	}
 
-	// Forward sweep over intermediate levels ℓ+1 .. L-1. Note: read only
-	// the immutable fields of qs.att entries (level, slot) — never copy
-	// the struct, whose gamma field a concurrent worker may be writing.
+	// Forward sweep over intermediate levels ℓ+1 .. L-1.
 	for j := 1; j < dl; j++ {
 		lvl := a.level + int32(j)
 		for _, wj := range gs.rhoTouched {

@@ -69,15 +69,6 @@ type Options struct {
 	// MaxWalks optionally caps the level-detection sample size (0 = no cap).
 	// Intended for experiments; capping voids the δ guarantee.
 	MaxWalks int
-	// Parallelism is the intra-query worker count: level-detection walk
-	// sampling, the γ loop, and Reverse-Push level sweeps fan out across
-	// this many goroutines. 0 and 1 both run every stage serially (the
-	// default) and are interchangeable. Results are deterministic in
-	// (seed, Parallelism) — independent of GOMAXPROCS —
-	// but different worker counts produce slightly different (equally
-	// valid) estimates, because walk substreams and floating-point
-	// reduction order depend on the shard layout.
-	Parallelism int
 	// Clock overrides the wall clock behind Result.Durations — injected
 	// by tests and the observability layer so the engine itself performs
 	// no ambient time.Now reads (the detmerge invariant). nil uses the
@@ -98,18 +89,27 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// validate rejects options outside the paper's domain, and any (c, ε, δ)
+// whose derived L* or walk count an int32 level counter cannot hold. Each
+// range test is written so that NaN, which fails every comparison, fails
+// it too.
 func (o Options) validate() error {
-	if o.C <= 0 || o.C >= 1 {
+	if !(o.C > 0 && o.C < 1) {
 		return fmt.Errorf("core: %w: decay factor c must be in (0,1), got %v", ErrInvalidOptions, o.C)
 	}
-	if o.Epsilon <= 0 || o.Epsilon >= 1 {
+	if !(o.Epsilon > 0 && o.Epsilon < 1) {
 		return fmt.Errorf("core: %w: epsilon must be in (0,1), got %v", ErrInvalidOptions, o.Epsilon)
 	}
-	if o.Delta <= 0 || o.Delta >= 1 {
+	if !(o.Delta > 0 && o.Delta < 1) {
 		return fmt.Errorf("core: %w: delta must be in (0,1), got %v", ErrInvalidOptions, o.Delta)
 	}
-	if o.Parallelism < 0 {
-		return fmt.Errorf("core: %w: parallelism must be >= 0, got %d", ErrInvalidOptions, o.Parallelism)
+	_, _, lStar, nWalks := o.sampleBounds()
+	if math.IsInf(lStar, 0) || math.IsNaN(lStar) {
+		return fmt.Errorf("core: %w: epsilon %v too small: the attention threshold ε_h underflows", ErrInvalidOptions, o.Epsilon)
+	}
+	if !(nWalks <= math.MaxInt32) {
+		return fmt.Errorf("core: %w: epsilon %v and delta %v need %.3g level-detection walks, over the limit of %d",
+			ErrInvalidOptions, o.Epsilon, o.Delta, nWalks, math.MaxInt32)
 	}
 	return nil
 }
@@ -143,10 +143,6 @@ type QueryOpts struct {
 	// (0 removes the cap).
 	MaxWalks    int
 	HasMaxWalks bool
-	// Parallelism, when HasParallelism is set, replaces the engine's
-	// intra-query worker count for one query (0 or 1 = serial).
-	Parallelism    int
-	HasParallelism bool
 }
 
 // IsZero reports whether the overrides leave every engine setting intact.
@@ -168,9 +164,6 @@ func (o Options) merge(q QueryOpts) Options {
 	if q.HasMaxWalks {
 		o.MaxWalks = q.MaxWalks
 	}
-	if q.HasParallelism {
-		o.Parallelism = q.Parallelism
-	}
 	return o
 }
 
@@ -188,29 +181,42 @@ type params struct {
 	countThld int32 // per-(level,node) count threshold for detecting L
 }
 
-func deriveParams(o Options) params {
-	p := params{c: o.C, sqrtC: math.Sqrt(o.C), eps: o.Epsilon, delta: o.Delta}
-	p.epsH = (1 - p.sqrtC) / (3 * p.sqrtC) * p.eps
-	p.lStar = int(math.Floor(math.Log(1/p.epsH) / math.Log(1/p.sqrtC)))
-	if p.lStar < 1 {
-		p.lStar = 1
-	}
+// sampleBounds returns √c, ε_h, L* and the level-detection sample size
+// n_w (after the MaxWalks cap) in float64. validate checks L* and n_w here,
+// before deriveParams converts them to int: a conversion of a value no int
+// holds is implementation-defined, and on amd64 a NaN or overflowing walk
+// count becomes MinInt64, which runs no walk at all.
+func (o Options) sampleBounds() (sqrtC, epsH, lStar, nWalks float64) {
+	sqrtC = math.Sqrt(o.C)
+	epsH = (1 - sqrtC) / (3 * sqrtC) * o.Epsilon
+	lStar = math.Floor(math.Log(1/epsH) / math.Log(1/sqrtC))
 	// X = 1/((1−√c)·ε_h·δ): the union-bound term of Lemma 5.
-	logX := math.Log(1 / ((1 - p.sqrtC) * p.epsH * p.delta))
+	logX := math.Log(1 / ((1 - sqrtC) * epsH * o.Delta))
 	if logX < 1 {
 		logX = 1
 	}
 	switch o.LevelDetect {
 	case LevelDetectHoeffding:
-		p.nWalks = int(math.Ceil(2 * logX / (p.epsH * p.epsH)))
+		nWalks = math.Ceil(2 * logX / (epsH * epsH))
 	case LevelDetectDeterministic:
-		p.nWalks = 0
+		nWalks = 0
 	default:
-		p.nWalks = int(math.Ceil(12 * logX / p.epsH))
+		nWalks = math.Ceil(12 * logX / epsH)
 	}
-	if o.MaxWalks > 0 && p.nWalks > o.MaxWalks {
-		p.nWalks = o.MaxWalks
+	if o.MaxWalks > 0 && nWalks > float64(o.MaxWalks) {
+		nWalks = float64(o.MaxWalks)
 	}
+	return sqrtC, epsH, lStar, nWalks
+}
+
+func deriveParams(o Options) params {
+	sqrtC, epsH, lStar, nWalks := o.sampleBounds()
+	p := params{c: o.C, sqrtC: sqrtC, eps: o.Epsilon, epsH: epsH, delta: o.Delta}
+	p.lStar = int(lStar)
+	if p.lStar < 1 {
+		p.lStar = 1
+	}
+	p.nWalks = int(nWalks)
 	p.countThld = int32(math.Ceil(float64(p.nWalks) * p.epsH / 2))
 	if p.countThld < 1 {
 		p.countThld = 1

@@ -14,13 +14,6 @@ import "context"
 // "combine the push" optimization), which the level-synchronous sweep
 // below gives for free.
 //
-// With intra-query parallelism, each level sweep partitions the current
-// frontier across workers; workers accumulate into private next-frontier
-// arrays that are merged in worker order between levels, so the sweep
-// stays level-synchronous ("combine the push" still holds: a level's
-// entire frontier is merged before any of it is pushed further) and the
-// result is deterministic in (seed, worker count).
-//
 // Cancellation is checked once per level sweep; on abort the residue
 // scratch is zeroed before returning so the engine stays reusable.
 func (sp *SimPush) reversePush(ctx context.Context, qs *queryState, scores []float64) error {
@@ -28,16 +21,6 @@ func (sp *SimPush) reversePush(ctx context.Context, qs *queryState, scores []flo
 	if len(sp.rCur) < int(n) {
 		sp.rCur = make([]float64, n)
 		sp.rNxt = make([]float64, n)
-	}
-	k := qs.workers()
-	var ws []*pworker
-	if k > 1 {
-		ws = sp.ensureWorkers(k)
-		for _, w := range ws {
-			if len(w.acc) < int(n) {
-				w.acc = make([]float64, n)
-			}
-		}
 	}
 	inv := sp.g.InvInDegs()
 	cur, nxt := sp.rCur, sp.rNxt
@@ -68,27 +51,23 @@ func (sp *SimPush) reversePush(ctx context.Context, qs *queryState, scores []flo
 				cur[a.node] += r
 			}
 		}
-		if k > 1 && len(curT) >= minParallelFrontier {
-			nxtT = sp.sweepParallel(qs, ws, k, l, cur, curT, nxt, nxtT, scores, inv)
-		} else {
-			for _, v := range curT {
-				r := cur[v]
-				cur[v] = 0
-				pr := qs.p.sqrtC * r
-				if pr < qs.p.epsH {
-					continue // prune: residue too small to matter (Lemma 4)
+		for _, v := range curT {
+			r := cur[v]
+			cur[v] = 0
+			pr := qs.p.sqrtC * r
+			if pr < qs.p.epsH {
+				continue // prune: residue too small to matter (Lemma 4)
+			}
+			if l > 1 {
+				for _, t := range sp.g.Out(v) {
+					if nxt[t] == 0 {
+						nxtT = append(nxtT, t)
+					}
+					nxt[t] += pr * inv[t]
 				}
-				if l > 1 {
-					for _, t := range sp.g.Out(v) {
-						if nxt[t] == 0 {
-							nxtT = append(nxtT, t)
-						}
-						nxt[t] += pr * inv[t]
-					}
-				} else {
-					for _, t := range sp.g.Out(v) {
-						scores[t] += pr * inv[t]
-					}
+			} else {
+				for _, t := range sp.g.Out(v) {
+					scores[t] += pr * inv[t]
 				}
 			}
 		}
@@ -107,50 +86,4 @@ func (sp *SimPush) reversePush(ctx context.Context, qs *queryState, scores []flo
 
 	scores[qs.u] = 1 // Algorithm 5 line 10
 	return nil
-}
-
-// sweepParallel pushes one level's frontier across k workers. Each worker
-// owns a contiguous shard of the frontier: it zeroes the shard's cur
-// entries (each node belongs to exactly one worker) and accumulates pushes
-// into its private acc/accT. Shards are then merged in worker order — into
-// (nxt, nxtT) for l > 1 or directly into scores at l == 1 — which fixes
-// the floating-point reduction order as a function of (frontier, k) alone.
-// The updated next-frontier touched list is returned.
-func (sp *SimPush) sweepParallel(qs *queryState, ws []*pworker, k, l int, cur []float64, curT []int32, nxt []float64, nxtT []int32, scores, inv []float64) []int32 {
-	runWorkers(k, func(wi int) {
-		w := ws[wi]
-		lo, hi := shard(len(curT), k, wi)
-		for _, v := range curT[lo:hi] {
-			r := cur[v]
-			cur[v] = 0
-			pr := qs.p.sqrtC * r
-			if pr < qs.p.epsH {
-				continue
-			}
-			for _, t := range sp.g.Out(v) {
-				if w.acc[t] == 0 {
-					w.accT = append(w.accT, t)
-				}
-				w.acc[t] += pr * inv[t]
-			}
-		}
-	})
-	for _, w := range ws {
-		if l > 1 {
-			for _, t := range w.accT {
-				if nxt[t] == 0 {
-					nxtT = append(nxtT, t)
-				}
-				nxt[t] += w.acc[t]
-				w.acc[t] = 0
-			}
-		} else {
-			for _, t := range w.accT {
-				scores[t] += w.acc[t]
-				w.acc[t] = 0
-			}
-		}
-		w.accT = w.accT[:0]
-	}
-	return nxtT
 }

@@ -39,16 +39,12 @@ type SimPush struct {
 	attScratch []float64
 	attTouched []int32
 
-	// Algorithm 4 scratch: ρ values over attention indices (serial path).
+	// Algorithm 4 scratch: ρ values over attention indices.
 	gamma gammaScratch
 
 	// Algorithm 5 scratch: residues for the current and next level.
 	rCur, rNxt             []float64
 	curTouched, nxtTouched []int32
-
-	// workers carries the per-goroutine scratch of intra-query parallelism
-	// (see parallel.go); grown lazily to the largest Parallelism queried.
-	workers []*pworker
 }
 
 // ventry is one sparse-vector entry: hitting probability from the holding
@@ -199,8 +195,7 @@ func (sp *SimPush) Graph() *graph.Graph {
 
 // MemoryBytes estimates the engine's persistent scratch footprint (the
 // graph itself is excluded; there is no index), including the walk
-// counter's per-level arrays. Worker scratch counts: intra-query
-// parallelism trades O(k·n) memory for latency.
+// counter's per-level arrays.
 func (sp *SimPush) MemoryBytes() int64 {
 	b := sp.counter.MemoryBytes()
 	b += int64(len(sp.hScratch)) * 8
@@ -210,9 +205,6 @@ func (sp *SimPush) MemoryBytes() int64 {
 	b += int64(len(sp.rCur)+len(sp.rNxt)) * 8
 	b += int64(len(sp.attScratch)) * 8
 	b += sp.gamma.memoryBytes()
-	for _, w := range sp.workers {
-		b += w.counter.MemoryBytes() + int64(len(w.acc))*8 + int64(cap(w.accT))*4 + w.gamma.memoryBytes()
-	}
 	return b
 }
 

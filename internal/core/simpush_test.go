@@ -44,6 +44,14 @@ func TestInvalidOptions(t *testing.T) {
 		{Epsilon: 2},
 		{Epsilon: -0.1},
 		{Delta: 3},
+		{C: math.NaN()},
+		{Epsilon: math.NaN()},
+		{Delta: math.NaN()},
+		{Epsilon: math.Inf(1)},
+		{Epsilon: 5e-324}, // ε_h underflows to 0: L* is infinite
+		{Epsilon: 1e-300}, // n_w overflows int
+		{Epsilon: 1e-9},   // n_w ≈ 4.2e12, past an int32 counter
+		{Epsilon: 1e-3, LevelDetect: LevelDetectHoeffding},
 	}
 	for _, o := range bad {
 		if _, err := New(g, o); err == nil {

@@ -96,14 +96,10 @@ func (sp *SimPush) sourcePush(ctx context.Context, qs *queryState) error {
 // detectMaxLevel samples n_w √c-walks from u and returns the deepest level
 // at which some node was visited at least countThld times (Algorithm 2
 // lines 1-8), capped at L*. In deterministic mode (n_w = 0) it returns L*
-// directly. With intra-query parallelism the sample is sharded across
-// seed-derived worker substreams (see parallel.go).
+// directly.
 func (sp *SimPush) detectMaxLevel(ctx context.Context, qs *queryState) (int, error) {
 	if qs.p.nWalks == 0 {
 		return qs.p.lStar, nil
-	}
-	if k := min(qs.workers(), qs.p.nWalks); k > 1 {
-		return sp.detectMaxLevelParallel(ctx, qs, k)
 	}
 	sp.counter.Reset()
 	for i := 0; i < qs.p.nWalks; i++ {
@@ -125,8 +121,8 @@ func (sp *SimPush) detectMaxLevel(ctx context.Context, qs *queryState) (int, err
 	return sp.levelFromCounts(qs), nil
 }
 
-// levelFromCounts reads the detected max level off the engine's (merged)
-// visit counters: the deepest level where some node reached countThld.
+// levelFromCounts reads the detected max level off the engine's visit
+// counters: the deepest level where some node reached countThld.
 func (sp *SimPush) levelFromCounts(qs *queryState) int {
 	L := 0
 	for l := 1; l < sp.counter.MaxLevels(); l++ {

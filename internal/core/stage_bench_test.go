@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"testing"
 
 	"github.com/simrank/simpush/internal/gen"
@@ -12,8 +10,7 @@ import (
 
 // Per-stage benchmarks: the complexity table (paper Table 3) splits
 // SimPush into Source-Push, γ computation, and Reverse-Push. These
-// benchmarks measure each stage on a mid-size web graph, serial vs
-// parallel (Options.Parallelism = NumCPU).
+// benchmarks measure each stage on a mid-size web graph.
 
 func stageGraph(b *testing.B) *graph.Graph {
 	b.Helper()
@@ -24,93 +21,48 @@ func stageGraph(b *testing.B) *graph.Graph {
 	return g
 }
 
-// benchWidths returns the serial baseline plus the machine's full width
-// (deduplicated on single-core machines).
-func benchWidths() []int {
-	if n := runtime.NumCPU(); n > 1 {
-		return []int{1, n}
-	}
-	return []int{1}
-}
-
 func BenchmarkStageSourcePush(b *testing.B) {
 	g := stageGraph(b)
-	for _, k := range benchWidths() {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			sp := mustEngine(b, g, Options{Epsilon: 0.02, Seed: 1, Parallelism: k})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				qs := testQueryState(sp, int32(i)%g.N())
-				sp.sourcePush(context.Background(), qs)
-				sp.resetSlots(qs)
-			}
-		})
+	sp := mustEngine(b, g, Options{Epsilon: 0.02, Seed: 1})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		qs := testQueryState(sp, int32(i)%g.N())
+		sp.sourcePush(context.Background(), qs)
+		sp.resetSlots(qs)
 	}
 }
 
 func BenchmarkStageGamma(b *testing.B) {
 	g := stageGraph(b)
-	for _, k := range benchWidths() {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			sp := mustEngine(b, g, Options{Epsilon: 0.02, Seed: 1, Parallelism: k})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				qs := testQueryState(sp, int32(i)%g.N())
-				sp.sourcePush(context.Background(), qs)
-				sp.computeHittingVecs(context.Background(), qs)
-				sp.computeGammas(context.Background(), qs)
-				sp.resetSlots(qs)
-			}
-		})
+	sp := mustEngine(b, g, Options{Epsilon: 0.02, Seed: 1})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		qs := testQueryState(sp, int32(i)%g.N())
+		sp.sourcePush(context.Background(), qs)
+		sp.computeHittingVecs(context.Background(), qs)
+		sp.computeGammas(context.Background(), qs)
+		sp.resetSlots(qs)
 	}
 }
 
 func BenchmarkStageReversePush(b *testing.B) {
 	g := stageGraph(b)
-	for _, k := range benchWidths() {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			sp := mustEngine(b, g, Options{Epsilon: 0.02, Seed: 1, Parallelism: k})
-			// Prepare one query state outside the timed loop.
-			qs := testQueryState(sp, 123)
-			sp.sourcePush(context.Background(), qs)
-			sp.computeHittingVecs(context.Background(), qs)
-			sp.computeGammas(context.Background(), qs)
-			scores := make([]float64, g.N())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for v := range scores {
-					scores[v] = 0
-				}
-				sp.reversePush(context.Background(), qs, scores)
-			}
-			b.StopTimer()
-			sp.resetSlots(qs)
-		})
-	}
-}
-
-// BenchmarkQueryParallelism is the end-to-end serial-vs-parallel
-// comparison behind the PR 5 acceptance criterion: one full single-source
-// query at k=1 vs k=NumCPU on the synthetic benchmark graph.
-func BenchmarkQueryParallelism(b *testing.B) {
-	g := stageGraph(b)
-	widths := []int{1, 2, 4, runtime.NumCPU()}
-	seen := map[int]bool{}
-	for _, k := range widths {
-		if k < 1 || seen[k] {
-			continue
+	sp := mustEngine(b, g, Options{Epsilon: 0.02, Seed: 1})
+	// Prepare one query state outside the timed loop.
+	qs := testQueryState(sp, 123)
+	sp.sourcePush(context.Background(), qs)
+	sp.computeHittingVecs(context.Background(), qs)
+	sp.computeGammas(context.Background(), qs)
+	scores := make([]float64, g.N())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for v := range scores {
+			scores[v] = 0
 		}
-		seen[k] = true
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			sp := mustEngine(b, g, Options{Epsilon: 0.02, Seed: 1, Parallelism: k})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sp.Query(int32(i) % g.N()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		sp.reversePush(context.Background(), qs, scores)
 	}
+	b.StopTimer()
+	sp.resetSlots(qs)
 }
 
 func BenchmarkLevelDetection(b *testing.B) {

@@ -7,7 +7,7 @@ import (
 )
 
 // DetMerge guards the bit-identical determinism contract of the engine
-// packages (docs/performance.md): for a fixed (seed, parallelism) a query
+// packages (docs/performance.md): for a fixed seed a query
 // must produce byte-identical scores across runs, GOMAXPROCS values, and
 // replicas — followers replay the leader's mutations and are asserted
 // equal at equal epochs, so any scheduling- or hash-order dependence in a
@@ -23,8 +23,8 @@ import (
 //     Walker substreams;
 //  3. no scheduling-ordered goroutine collection: results gathered by
 //     ranging over a channel or select-looping arrive in completion
-//     order — workers must write into index-addressed slots merged in
-//     worker order (see runWorkers / shard in internal/core).
+//     order — any goroutines these packages start must write into
+//     index-addressed slots merged in a fixed order.
 var DetMerge = &Analyzer{
 	Name: "detmerge",
 	Doc:  "deterministic packages must not merge scores in map, scheduling, or wall-clock order",
@@ -200,7 +200,7 @@ func checkAmbient(pass *Pass, sel *ast.SelectorExpr) {
 	switch p.Path() {
 	case "math/rand", "math/rand/v2":
 		pass.Reportf(sel.Pos(),
-			"math/rand in a deterministic package: ambient randomness breaks fixed-(seed, parallelism) reproducibility — draw from the engine's seed-derived Walker substreams (internal/rnd)")
+			"math/rand in a deterministic package: ambient randomness breaks fixed-seed reproducibility — draw from the engine's seed-derived Walker substreams (internal/rnd)")
 	case "time":
 		if sel.Sel.Name == "Now" {
 			pass.Reportf(sel.Pos(),

@@ -95,15 +95,14 @@ func writeMethodNotAllowed(w http.ResponseWriter, allow ...string) {
 // canonical encoding doubles as the cache-key params component, so two
 // requests spelled differently ("eps=0.05" vs "eps=5e-2") share an entry.
 type queryParams struct {
-	eps, delta  float64
-	seed        uint64
-	hasSeed     bool
-	maxWalks    int
-	hasWalks    bool
-	parallelism int
+	eps, delta float64
+	seed       uint64
+	hasSeed    bool
+	maxWalks   int
+	hasWalks   bool
 }
 
-func (s *Server) parseQueryParams(r *http.Request) (queryParams, *httpError) {
+func parseQueryParams(r *http.Request) (queryParams, *httpError) {
 	var p queryParams
 	q := r.URL.Query()
 	if v := q.Get("eps"); v != "" {
@@ -134,25 +133,6 @@ func (s *Server) parseQueryParams(r *http.Request) (queryParams, *httpError) {
 		}
 		p.maxWalks, p.hasWalks = n, true
 	}
-	if v := q.Get("parallelism"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return p, httpErrf(http.StatusBadRequest, "bad_parameter", "parallelism: %v", err)
-		}
-		if n < 0 {
-			return p, httpErrf(http.StatusBadRequest, "bad_parameter", "parallelism must be >= 0")
-		}
-		// Clamp to the server-side cap (like ?timeout against MaxTimeout);
-		// the clamped value is what forms the cache key, since the worker
-		// count is part of the result's determinism contract.
-		if n > s.cfg.MaxParallelism {
-			n = s.cfg.MaxParallelism
-		}
-		if n == 1 {
-			n = 0 // k=1 is the serial default; share its cache entries
-		}
-		p.parallelism = n
-	}
 	return p, nil
 }
 
@@ -170,9 +150,6 @@ func (p queryParams) options() []simpush.QueryOption {
 	if p.hasWalks {
 		opts = append(opts, simpush.WithMaxWalks(p.maxWalks))
 	}
-	if p.parallelism > 1 {
-		opts = append(opts, simpush.WithParallelism(p.parallelism))
-	}
 	return opts
 }
 
@@ -184,11 +161,6 @@ func (p queryParams) canonical() string {
 	}
 	if p.hasWalks {
 		fmt.Fprintf(&b, ";walks=%d", p.maxWalks)
-	}
-	if p.parallelism > 1 {
-		// Part of the key: different worker counts give bitwise-different
-		// (equally valid) results, which must not share an entry.
-		fmt.Fprintf(&b, ";par=%d", p.parallelism)
 	}
 	return b.String()
 }
@@ -308,7 +280,7 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, kind int, par
 		s.writeError(w, herr)
 		return
 	}
-	qp, herr := s.parseQueryParams(r)
+	qp, herr := parseQueryParams(r)
 	if herr != nil {
 		s.writeError(w, herr)
 		return
@@ -617,6 +589,12 @@ type edgeSpec struct {
 	To   int32 `json:"to"`
 }
 
+// maxNodeGrowth bounds how far one POST /v1/edges may extend the node
+// range past the current snapshot's n. Every per-node array on every
+// replica grows with n, so without it one edge naming id 10^7 costs each
+// replica ~1 GB; with it, growth scales with write volume instead.
+const maxNodeGrowth = 1024
+
 // edgesRequest accepts either a single edge ({"from":u,"to":v}) or a
 // list ({"edges":[...]}).
 type edgesRequest struct {
@@ -666,6 +644,17 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			if e.From < 0 || e.To < 0 {
 				s.writeError(w, httpErrf(http.StatusBadRequest, "bad_edge",
 					"negative node id (%d, %d)", e.From, e.To))
+				return
+			}
+		}
+	} else {
+		// Checked before anything is applied, so a refused batch never
+		// reaches the graph or the replication log.
+		n := int64(s.client.Graph().N())
+		for _, e := range edges {
+			if max(int64(e.From), int64(e.To)) >= n+maxNodeGrowth {
+				s.writeError(w, httpErrf(http.StatusBadRequest, "bad_edge",
+					"edge (%d, %d): node ids must be below n+%d = %d (nothing applied)", e.From, e.To, maxNodeGrowth, n+maxNodeGrowth))
 				return
 			}
 		}

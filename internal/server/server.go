@@ -50,13 +50,6 @@ type Config struct {
 	// (default 2×GOMAXPROCS).
 	MaxInFlight int
 
-	// MaxParallelism caps the per-request ?parallelism parameter (intra-
-	// query workers; default GOMAXPROCS). Requests above the cap are
-	// clamped, like ?timeout against MaxTimeout. Note the product
-	// MaxInFlight × MaxParallelism bounds worst-case runnable goroutines;
-	// see docs/performance.md for sizing guidance.
-	MaxParallelism int
-
 	// MaxQueue bounds requests waiting for an engine slot (default
 	// 4×MaxInFlight). Requests beyond it receive 429 with Retry-After.
 	MaxQueue int
@@ -135,9 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4 * c.MaxInFlight
-	}
-	if c.MaxParallelism <= 0 {
-		c.MaxParallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 10 * time.Second

@@ -121,6 +121,13 @@ func TestHandlerTable(t *testing.T) {
 		{"negative node", "GET", "/v1/single-source?node=-3", "", 404, "node_not_found"},
 		{"bad eps", "GET", "/v1/single-source?node=1&eps=oops", "", 400, "bad_parameter"},
 		{"eps out of domain", "GET", "/v1/single-source?node=1&eps=7", "", 400, "invalid_options"},
+		{"eps NaN", "GET", "/v1/single-source?node=1&eps=NaN", "", 400, "invalid_options"},
+		{"delta NaN", "GET", "/v1/single-source?node=1&delta=nan", "", 400, "invalid_options"},
+		{"eps underflows", "GET", "/v1/single-source?node=1&eps=1e-300", "", 400, "invalid_options"},
+		{"eps needs too many walks", "GET", "/v1/single-source?node=1&eps=1e-9", "", 400, "invalid_options"},
+		{"eps Inf", "GET", "/v1/single-source?node=1&eps=Inf", "", 400, "invalid_options"},
+		{"negative delta", "GET", "/v1/single-source?node=1&delta=-0.1", "", 400, "invalid_options"},
+		{"topk eps NaN", "GET", "/v1/topk?node=1&eps=NaN", "", 400, "invalid_options"},
 		{"bad timeout", "GET", "/v1/single-source?node=1&timeout=soon", "", 400, "bad_parameter"},
 		{"negative timeout", "GET", "/v1/single-source?node=1&timeout=-5s", "", 400, "bad_parameter"},
 		{"method mismatch single-source", "POST", "/v1/single-source?node=1", "", 405, "method_not_allowed"},
@@ -660,35 +667,62 @@ func TestDeleteEdgeRejectsImpossibleIds(t *testing.T) {
 	}
 }
 
-// The parallelism parameter is validated, clamped to the server cap, and
-// participates in the cache key (distinct worker counts give distinct,
-// equally valid results; k=1 shares the serial default's entries).
+// One write may extend the node range by fewer than maxNodeGrowth ids. A
+// batch naming a larger id is refused whole, before any edge of it is
+// applied or, on a leader, logged for replication.
+func TestEdgeNodeRangeBound(t *testing.T) {
+	standalone, _ := newDynamicServer(t, Config{})
+	for _, tc := range []struct {
+		name string
+		s    *Server
+	}{
+		{"standalone", standalone},
+		{"leader", newLeaderServer(t, Config{})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.s
+			n := s.client.Graph().N()
+			for _, body := range []string{
+				`{"from":10000000,"to":0}`,
+				fmt.Sprintf(`{"edges":[{"from":1,"to":2},{"from":0,"to":%d}]}`, n+maxNodeGrowth),
+			} {
+				rec := doReq(s, "POST", "/v1/edges", body)
+				if rec.Code != 400 || decodeBody(t, rec)["code"] != "bad_edge" {
+					t.Fatalf("POST %s = %d %s, want 400 bad_edge", body, rec.Code, rec.Body.String())
+				}
+				if got := s.client.Graph().N(); got != n {
+					t.Fatalf("refused POST %s grew n from %d to %d", body, n, got)
+				}
+				if s.rep.role == RoleLeader && len(s.rep.log.entries) != 0 {
+					t.Fatalf("refused POST %s entered the replication log", body)
+				}
+			}
+			body := fmt.Sprintf(`{"from":%d,"to":0}`, n+maxNodeGrowth-1)
+			if rec := doReq(s, "POST", "/v1/edges", body); rec.Code != 200 {
+				t.Fatalf("POST %s = %d %s, want 200", body, rec.Code, rec.Body.String())
+			}
+			if got := s.client.Graph().N(); got != n+maxNodeGrowth {
+				t.Fatalf("n after POST %s = %d, want %d", body, got, n+maxNodeGrowth)
+			}
+		})
+	}
+}
+
+// ?parallelism names no setting: like any unknown parameter it is
+// ignored, so a read that sends it is served the serial answer from the
+// serial request's cache entry.
 func TestParallelismParameter(t *testing.T) {
-	s := newStaticServer(t, Config{MaxParallelism: 2})
-
-	if rec := doReq(s, "GET", "/v1/single-source?node=3&parallelism=bad", ""); rec.Code != http.StatusBadRequest {
-		t.Fatalf("bad parallelism -> %d", rec.Code)
+	s := newStaticServer(t, Config{})
+	serial := doReq(s, "GET", "/v1/single-source?node=3&seed=5", "")
+	if m := decodeBody(t, serial); m["cache"] != "computed" {
+		t.Fatalf("serial query cache = %v, want computed", m["cache"])
 	}
-	if rec := doReq(s, "GET", "/v1/single-source?node=3&parallelism=-1", ""); rec.Code != http.StatusBadRequest {
-		t.Fatalf("negative parallelism -> %d", rec.Code)
+	rec := doReq(s, "GET", "/v1/single-source?node=3&seed=5&parallelism=2", "")
+	if m := decodeBody(t, rec); m["cache"] != "hit" {
+		t.Fatalf("parallelism=2 cache = %v, want hit", m["cache"])
 	}
-
-	serial := decodeBody(t, doReq(s, "GET", "/v1/single-source?node=3&seed=5", ""))
-	if serial["cache"] != "computed" {
-		t.Fatalf("serial query cache = %v", serial["cache"])
-	}
-	// parallelism=1 is the serial path and shares its cache entries.
-	if m := decodeBody(t, doReq(s, "GET", "/v1/single-source?node=3&seed=5&parallelism=1", "")); m["cache"] != "hit" {
-		t.Fatalf("parallelism=1 cache = %v, want hit", m["cache"])
-	}
-	// parallelism=2 is a distinct entry...
-	par := decodeBody(t, doReq(s, "GET", "/v1/single-source?node=3&seed=5&parallelism=2", ""))
-	if par["cache"] != "computed" {
-		t.Fatalf("parallelism=2 cache = %v, want computed", par["cache"])
-	}
-	// ...and values above the cap clamp onto it.
-	clamped := decodeBody(t, doReq(s, "GET", "/v1/single-source?node=3&seed=5&parallelism=64", ""))
-	if clamped["cache"] != "hit" {
-		t.Fatalf("clamped parallelism cache = %v, want hit", clamped["cache"])
+	want := strings.Replace(serial.Body.String(), `"cache":"computed"`, `"cache":"hit"`, 1)
+	if rec.Body.String() != want {
+		t.Fatalf("parallelism=2 body differs from the serial body:\n%s\n%s", rec.Body.String(), want)
 	}
 }

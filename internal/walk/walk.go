@@ -29,14 +29,6 @@ func NewWalker(g *graph.Graph, c float64, rng *rnd.Source) *Walker {
 	return &Walker{g: g, sqrtC: math.Sqrt(c), rng: rng, buf: make([]int32, 0, 64)}
 }
 
-// DeriveSeed draws the next value of the walker's stream for seeding a
-// worker substream. Each draw advances the parent stream, so a set of k
-// substreams is deterministic in (parent state, k) — the foundation of
-// the engine's fixed-(seed, parallelism) reproducibility contract.
-func (w *Walker) DeriveSeed() uint64 {
-	return w.rng.Uint64()
-}
-
 // Rebind points the walker at a new graph snapshot. The random stream
 // continues where it left off — rebinding changes what the walks traverse,
 // not how they are sampled.
@@ -169,40 +161,6 @@ func (lc *LevelCounter) Add(level int, v int32) {
 		lc.touched[level] = append(lc.touched[level], v)
 	}
 	lc.counts[level][v]++
-}
-
-// MaxMergedCountAt merges sharded per-worker counters for threshold
-// detection: it returns the maximum, over candidate nodes, of the visit
-// count at the given level summed across all shards. Candidates are nodes
-// holding at least minShare visits in some shard — a node whose merged
-// total reaches T must hold ≥ ⌈T/k⌉ in at least one of k shards, so a
-// caller testing "does any merged count reach T?" can pass
-// minShare = ⌈T/k⌉ and compare the result against T without ever
-// materializing the merged counter. Non-candidate nodes are skipped with
-// one compare each, making the merge O(total touched) compares plus
-// O(candidates·k) summations; the returned value may undercount nodes
-// below the candidate bar, all of which are below T by construction.
-// Sums are order-independent, so sharding never perturbs detection.
-func MaxMergedCountAt(shards []*LevelCounter, level int, minShare int32) int32 {
-	var mx int32
-	for _, s := range shards {
-		if level >= len(s.counts) || s.counts[level] == nil {
-			continue
-		}
-		for _, v := range s.touched[level] {
-			if s.counts[level][v] < minShare {
-				continue
-			}
-			var total int32
-			for _, s2 := range shards {
-				total += s2.Count(level, v)
-			}
-			if total > mx {
-				mx = total
-			}
-		}
-	}
-	return mx
 }
 
 // MaxLevels returns the number of levels that received any visit.

@@ -26,8 +26,7 @@ type Request struct {
 
 // classStreams holds one class's derived random substreams. Each concern
 // (arrival times, node popularity, op mix, fresh seeds) draws from its
-// own substream so adding draws to one cannot shift another — the same
-// isolation the parallel engine gets from Walker.DeriveSeed.
+// own substream so adding draws to one cannot shift another.
 type classStreams struct {
 	arrival *rnd.Source
 	node    *rnd.Source

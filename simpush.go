@@ -65,9 +65,8 @@ type Graph = graph.Graph
 
 // Options configures a SimPush client: decay factor C (default 0.6),
 // error bound Epsilon (default 0.02), failure probability Delta
-// (default 1e-4), the level-detection mode, and Parallelism (intra-query
-// workers; 0 or 1 = serial). Per-query deviations are expressed with
-// QueryOption values instead of new clients.
+// (default 1e-4) and the level-detection mode. Per-query deviations are
+// expressed with QueryOption values instead of new clients.
 type Options = core.Options
 
 // Result is a single-source answer: Scores[v] ≈ s(u, v), plus the source
