@@ -53,7 +53,9 @@ func WithSeed(seed uint64) QueryOption {
 }
 
 // WithMaxWalks overrides the cap on level-detection walk samples for one
-// query (0 removes the cap). Capping voids the δ guarantee.
+// query (0 removes the cap; a negative n is invalid). Capping voids the δ
+// guarantee, and a cap does not admit an ε whose uncapped walk count is
+// over the limit.
 func WithMaxWalks(n int) QueryOption {
 	return func(q *core.QueryOpts) { q.MaxWalks = n; q.HasMaxWalks = true }
 }

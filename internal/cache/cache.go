@@ -169,33 +169,6 @@ func (c *Cache) shardFor(k Key) *shard {
 	return &c.shards[k.hash()&c.mask]
 }
 
-// Get returns the cached value for k, if present, and refreshes its LRU
-// position. It does not join in-flight computations; use Do for that.
-func (c *Cache) Get(k Key) (any, bool) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.entries[k]; ok {
-		s.lru.MoveToFront(el)
-		c.hits.Add(1)
-		return el.Value.(*entry).val, true
-	}
-	c.misses.Add(1)
-	return nil, false
-}
-
-// Put stores v under k, evicting the least recently used entry of the
-// shard if it is full. A nil cache capacity makes Put a no-op.
-func (c *Cache) Put(k Key, v any) {
-	if c.cap == 0 {
-		return
-	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.put(c, k, v)
-}
-
 // put inserts with the shard lock held.
 func (s *shard) put(c *Cache, k Key, v any) {
 	if c.cap == 0 {
@@ -404,9 +377,11 @@ type Stats struct {
 	Carried      uint64 `json:"carried"`
 	CarryDropped uint64 `json:"carry_dropped"`
 	Entries      int    `json:"entries"`
+	// Flights counts computations in progress.
+	Flights int `json:"flights"`
 }
 
-// Stats returns current counters and the live entry count.
+// Stats returns current counters and the live entry and flight counts.
 func (c *Cache) Stats() Stats {
 	st := Stats{
 		Hits:         c.hits.Load(),
@@ -420,6 +395,7 @@ func (c *Cache) Stats() Stats {
 		s := &c.shards[i]
 		s.mu.Lock()
 		st.Entries += s.lru.Len()
+		st.Flights += len(s.flights)
 		s.mu.Unlock()
 	}
 	return st

@@ -14,25 +14,43 @@ func key(epoch uint64, node int32) Key {
 	return Key{Epoch: epoch, Kind: "single-source", Node: node, Params: "eps=0.02"}
 }
 
+// put seeds v under k through Do.
+func put(t *testing.T, c *Cache, k Key, v any) {
+	t.Helper()
+	if _, _, err := c.Do(context.Background(), k, func(context.Context) (any, error) { return v, nil }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// errAbsent is get's compute result: Do never caches an error, so a probe
+// that misses stores nothing.
+var errAbsent = errors.New("absent")
+
+// get probes k through Do and reports whether it was a hit.
+func get(c *Cache, k Key) (any, bool) {
+	v, out, err := c.Do(context.Background(), k, func(context.Context) (any, error) { return nil, errAbsent })
+	return v, err == nil && out == Hit
+}
+
 func TestGetPutAndEpochKeying(t *testing.T) {
 	c := New(64)
 	k0 := key(0, 42)
 	k1 := key(1, 42) // same query, newer epoch: a distinct entry
 
-	if _, ok := c.Get(k0); ok {
+	if _, ok := get(c, k0); ok {
 		t.Fatal("empty cache reported a hit")
 	}
-	c.Put(k0, "old")
-	c.Put(k1, "new")
-	if v, ok := c.Get(k0); !ok || v != "old" {
+	put(t, c, k0, "old")
+	put(t, c, k1, "new")
+	if v, ok := get(c, k0); !ok || v != "old" {
 		t.Fatalf("Get(k0) = %v, %v", v, ok)
 	}
-	if v, ok := c.Get(k1); !ok || v != "new" {
+	if v, ok := get(c, k1); !ok || v != "new" {
 		t.Fatalf("Get(k1) = %v, %v", v, ok)
 	}
 	// A request pinned to epoch 2 can never see either value: the epoch is
 	// part of the key, so stale results are structurally unreachable.
-	if _, ok := c.Get(key(2, 42)); ok {
+	if _, ok := get(c, key(2, 42)); ok {
 		t.Fatal("entry from a superseded epoch was reachable at a newer epoch")
 	}
 }
@@ -41,7 +59,7 @@ func TestBoundAndEviction(t *testing.T) {
 	const bound = 32
 	c := New(bound)
 	for i := int32(0); i < 10*bound; i++ {
-		c.Put(key(0, i), i)
+		put(t, c, key(0, i), i)
 	}
 	st := c.Stats()
 	// The bound is enforced per shard; the total never exceeds the
@@ -60,14 +78,14 @@ func TestLRUKeepsRecentlyUsed(t *testing.T) {
 		t.Fatalf("expected 1 shard for tiny cache, got %d", len(c.shards))
 	}
 	for i := int32(0); i < 4; i++ {
-		c.Put(key(0, i), i)
+		put(t, c, key(0, i), i)
 	}
-	c.Get(key(0, 0)) // refresh node 0
-	c.Put(key(0, 99), 99)
-	if _, ok := c.Get(key(0, 0)); !ok {
+	get(c, key(0, 0)) // refresh node 0
+	put(t, c, key(0, 99), 99)
+	if _, ok := get(c, key(0, 0)); !ok {
 		t.Fatal("recently used entry was evicted")
 	}
-	if _, ok := c.Get(key(0, 1)); ok {
+	if _, ok := get(c, key(0, 1)); ok {
 		t.Fatal("least recently used entry survived eviction")
 	}
 }
@@ -202,7 +220,7 @@ func TestDisabledCacheStillCoalesces(t *testing.T) {
 		t.Fatalf("Do on disabled cache = %v, %v, %v", v, out, err)
 	}
 	// Nothing is stored...
-	if _, ok := c.Get(key(0, 1)); ok {
+	if _, ok := get(c, key(0, 1)); ok {
 		t.Fatal("disabled cache stored an entry")
 	}
 	// ...but concurrent identical calls still collapse to one compute.
@@ -240,8 +258,8 @@ func TestDisabledCacheStillCoalesces(t *testing.T) {
 func TestSweep(t *testing.T) {
 	c := New(128)
 	for i := int32(0); i < 20; i++ {
-		c.Put(key(1, i), i)
-		c.Put(key(2, i), i)
+		put(t, c, key(1, i), i)
+		put(t, c, key(2, i), i)
 	}
 	removed := c.Sweep(2)
 	if removed != 20 {
@@ -251,7 +269,7 @@ func TestSweep(t *testing.T) {
 	if st.Entries != 20 {
 		t.Fatalf("entries after sweep = %d, want 20", st.Entries)
 	}
-	if _, ok := c.Get(key(2, 3)); !ok {
+	if _, ok := get(c, key(2, 3)); !ok {
 		t.Fatal("current-epoch entry removed by sweep")
 	}
 }
@@ -267,12 +285,10 @@ func TestConcurrentMixed(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := key(uint64(i%3), int32(i%40))
-				switch i % 4 {
+				switch i % 3 {
 				case 0:
-					c.Put(k, i)
+					get(c, k)
 				case 1:
-					c.Get(k)
-				case 2:
 					c.Do(context.Background(), k, func(context.Context) (any, error) {
 						return fmt.Sprintf("w%d-%d", w, i), nil
 					})

@@ -5,7 +5,7 @@ import "testing"
 func TestCarryForwardRekeysUnaffected(t *testing.T) {
 	c := New(64)
 	for node := int32(0); node < 6; node++ {
-		c.Put(key(1, node), node)
+		put(t, c, key(1, node), node)
 	}
 	// Keep even nodes: odd ones play the "affected" role.
 	carried := c.CarryForward(Delta{FromEpoch: 1, ToEpoch: 2}, func(k Key) bool { return k.Node%2 == 0 })
@@ -13,11 +13,11 @@ func TestCarryForwardRekeysUnaffected(t *testing.T) {
 		t.Fatalf("carried = %d, want 3", carried)
 	}
 	for node := int32(0); node < 6; node++ {
-		_, okNew := c.Get(key(2, node))
+		_, okNew := get(c, key(2, node))
 		if want := node%2 == 0; okNew != want {
 			t.Fatalf("node %d at epoch 2: present=%v want=%v", node, okNew, want)
 		}
-		if _, okOld := c.Get(key(1, node)); okOld {
+		if _, okOld := get(c, key(1, node)); okOld {
 			t.Fatalf("node %d still reachable at epoch 1 after carry", node)
 		}
 	}
@@ -29,13 +29,13 @@ func TestCarryForwardRekeysUnaffected(t *testing.T) {
 
 func TestCarryForwardFreshEntryWins(t *testing.T) {
 	c := New(64)
-	c.Put(key(1, 7), "stale")
-	c.Put(key(2, 7), "fresh") // a query raced ahead and computed at epoch 2
+	put(t, c, key(1, 7), "stale")
+	put(t, c, key(2, 7), "fresh") // a query raced ahead and computed at epoch 2
 	carried := c.CarryForward(Delta{FromEpoch: 1, ToEpoch: 2}, func(Key) bool { return true })
 	if carried != 0 {
 		t.Fatalf("carried = %d, want 0 (target key taken)", carried)
 	}
-	v, ok := c.Get(key(2, 7))
+	v, ok := get(c, key(2, 7))
 	if !ok || v != "fresh" {
 		t.Fatalf("epoch-2 entry = %v/%v, want the fresh computation", v, ok)
 	}
@@ -47,7 +47,7 @@ func TestCarryForwardFreshEntryWins(t *testing.T) {
 func TestCarryForwardNilKeepDropsEverything(t *testing.T) {
 	c := New(64)
 	for node := int32(0); node < 4; node++ {
-		c.Put(key(3, node), node)
+		put(t, c, key(3, node), node)
 	}
 	if carried := c.CarryForward(Delta{FromEpoch: 3, ToEpoch: 4}, nil); carried != 0 {
 		t.Fatalf("nil keep carried %d entries", carried)
@@ -59,15 +59,15 @@ func TestCarryForwardNilKeepDropsEverything(t *testing.T) {
 
 func TestCarryForwardLeavesOtherEpochsForSweep(t *testing.T) {
 	c := New(64)
-	c.Put(key(1, 1), "ancient")
-	c.Put(key(5, 2), "current")
+	put(t, c, key(1, 1), "ancient")
+	put(t, c, key(5, 2), "current")
 	c.CarryForward(Delta{FromEpoch: 5, ToEpoch: 6}, func(Key) bool { return true })
 	// The epoch-1 entry is not a FromEpoch candidate: untouched, awaiting
 	// Sweep.
-	if _, ok := c.Get(key(1, 1)); !ok {
+	if _, ok := get(c, key(1, 1)); !ok {
 		t.Fatal("non-candidate epoch was touched by CarryForward")
 	}
-	if _, ok := c.Get(key(6, 2)); !ok {
+	if _, ok := get(c, key(6, 2)); !ok {
 		t.Fatal("candidate was not carried to the new epoch")
 	}
 }
@@ -78,15 +78,15 @@ func TestCarryForwardLeavesOtherEpochsForSweep(t *testing.T) {
 // genuinely superseded ones.
 func TestSweepAfterCarryKeepsCarriedEntries(t *testing.T) {
 	c := New(64)
-	c.Put(key(1, 1), "old-old") // superseded long ago
-	c.Put(key(5, 2), "keep")
-	c.Put(key(5, 3), "drop")
+	put(t, c, key(1, 1), "old-old") // superseded long ago
+	put(t, c, key(5, 2), "keep")
+	put(t, c, key(5, 3), "drop")
 	c.CarryForward(Delta{FromEpoch: 5, ToEpoch: 6}, func(k Key) bool { return k.Node == 2 })
 	removed := c.Sweep(6)
 	if removed != 1 {
 		t.Fatalf("sweep removed %d, want 1 (only the ancient entry remains to reclaim)", removed)
 	}
-	if _, ok := c.Get(key(6, 2)); !ok {
+	if _, ok := get(c, key(6, 2)); !ok {
 		t.Fatal("sweep after carry dropped a just-carried entry")
 	}
 	if st := c.Stats(); st.Entries != 1 {

@@ -40,7 +40,6 @@ var simrankdFamilies = []string{
 	"simrankd_engine_stage_seconds_total counter",
 	"simrankd_epoch gauge",
 	"simrankd_error_responses_total counter",
-	"simrankd_graph_discarded_deletions_total counter",
 	"simrankd_graph_edges gauge",
 	"simrankd_graph_nodes gauge",
 	"simrankd_request_duration_seconds histogram",

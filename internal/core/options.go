@@ -66,8 +66,9 @@ type Options struct {
 	// Seed drives the level-detection walks. Queries with the same seed,
 	// graph and options are deterministic.
 	Seed uint64
-	// MaxWalks optionally caps the level-detection sample size (0 = no cap).
-	// Intended for experiments; capping voids the δ guarantee.
+	// MaxWalks optionally caps the level-detection sample size (0 = no cap;
+	// negative is invalid). Intended for experiments; capping voids the δ
+	// guarantee.
 	MaxWalks int
 	// Clock overrides the wall clock behind Result.Durations — injected
 	// by tests and the observability layer so the engine itself performs
@@ -90,9 +91,10 @@ func (o Options) withDefaults() Options {
 }
 
 // validate rejects options outside the paper's domain, and any (c, ε, δ)
-// whose derived L* or walk count an int32 level counter cannot hold. Each
-// range test is written so that NaN, which fails every comparison, fails
-// it too.
+// whose derived L* or walk count an int32 level counter cannot hold. The
+// walk count is checked before the MaxWalks cap, so a cap cannot admit
+// an ε whose attention threshold is out of reach. Each range test is
+// written so that NaN, which fails every comparison, fails it too.
 func (o Options) validate() error {
 	if !(o.C > 0 && o.C < 1) {
 		return fmt.Errorf("core: %w: decay factor c must be in (0,1), got %v", ErrInvalidOptions, o.C)
@@ -102,6 +104,9 @@ func (o Options) validate() error {
 	}
 	if !(o.Delta > 0 && o.Delta < 1) {
 		return fmt.Errorf("core: %w: delta must be in (0,1), got %v", ErrInvalidOptions, o.Delta)
+	}
+	if o.MaxWalks < 0 {
+		return fmt.Errorf("core: %w: max walks must be >= 0, got %d", ErrInvalidOptions, o.MaxWalks)
 	}
 	_, _, lStar, nWalks := o.sampleBounds()
 	if math.IsInf(lStar, 0) || math.IsNaN(lStar) {
@@ -182,10 +187,10 @@ type params struct {
 }
 
 // sampleBounds returns √c, ε_h, L* and the level-detection sample size
-// n_w (after the MaxWalks cap) in float64. validate checks L* and n_w here,
-// before deriveParams converts them to int: a conversion of a value no int
-// holds is implementation-defined, and on amd64 a NaN or overflowing walk
-// count becomes MinInt64, which runs no walk at all.
+// n_w (before the MaxWalks cap) in float64. validate checks L* and n_w
+// here, before deriveParams converts them to int: a conversion of a value
+// no int holds is implementation-defined, and on amd64 a NaN or
+// overflowing walk count becomes MinInt64, which runs no walk at all.
 func (o Options) sampleBounds() (sqrtC, epsH, lStar, nWalks float64) {
 	sqrtC = math.Sqrt(o.C)
 	epsH = (1 - sqrtC) / (3 * sqrtC) * o.Epsilon
@@ -203,9 +208,6 @@ func (o Options) sampleBounds() (sqrtC, epsH, lStar, nWalks float64) {
 	default:
 		nWalks = math.Ceil(12 * logX / epsH)
 	}
-	if o.MaxWalks > 0 && nWalks > float64(o.MaxWalks) {
-		nWalks = float64(o.MaxWalks)
-	}
 	return sqrtC, epsH, lStar, nWalks
 }
 
@@ -217,6 +219,9 @@ func deriveParams(o Options) params {
 		p.lStar = 1
 	}
 	p.nWalks = int(nWalks)
+	if o.MaxWalks > 0 && p.nWalks > o.MaxWalks {
+		p.nWalks = o.MaxWalks
+	}
 	p.countThld = int32(math.Ceil(float64(p.nWalks) * p.epsH / 2))
 	if p.countThld < 1 {
 		p.countThld = 1

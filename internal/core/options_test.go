@@ -18,6 +18,9 @@ func FuzzQueryOpts(f *testing.F) {
 		f.Add(0.0, 0.0, 0.0, uint8(0), 0, x, x, false, 0)
 	}
 	f.Add(0.0, 0.0, 0.0, uint8(LevelDetectHoeffding), 0, 1e-3, 0.0, true, 1000)
+	f.Add(0.0, 1e-300, 0.0, uint8(0), 1000, 0.0, 0.0, false, 0)
+	f.Add(0.0, 0.0, 0.0, uint8(0), 0, 1e-300, 0.0, true, 1000)
+	f.Add(0.0, 0.0, 0.0, uint8(0), -5, 0.0, 0.0, true, -5)
 	f.Add(0.0, 0.0, 0.0, uint8(LevelDetectDeterministic), 0, 1e-300, 0.0, false, 0)
 	f.Fuzz(func(t *testing.T, c, eps, delta float64, mode uint8, maxWalks int, qEps, qDelta float64, hasQWalks bool, qWalks int) {
 		eng := Options{C: c, Epsilon: eps, Delta: delta, LevelDetect: LevelDetectMode(mode % 3), MaxWalks: maxWalks}.withDefaults()
@@ -36,6 +39,11 @@ func FuzzQueryOpts(f *testing.F) {
 
 func checkParams(t *testing.T, o Options) {
 	t.Helper()
+	uncapped := o
+	uncapped.MaxWalks = 0
+	if _, _, _, nWalks := uncapped.sampleBounds(); !(nWalks <= math.MaxInt32) {
+		t.Fatalf("%+v: uncapped n_w = %v, over MaxInt32", o, nWalks)
+	}
 	p := deriveParams(o)
 	if p.lStar < 1 {
 		t.Fatalf("%+v: L* = %d, want >= 1", o, p.lStar)

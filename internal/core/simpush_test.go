@@ -52,6 +52,9 @@ func TestInvalidOptions(t *testing.T) {
 		{Epsilon: 1e-300}, // n_w overflows int
 		{Epsilon: 1e-9},   // n_w ≈ 4.2e12, past an int32 counter
 		{Epsilon: 1e-3, LevelDetect: LevelDetectHoeffding},
+		{Epsilon: 1e-300, MaxWalks: 1000}, // a cap does not lift the n_w limit
+		{Epsilon: 1e-9, MaxWalks: 1000},
+		{MaxWalks: -5},
 	}
 	for _, o := range bad {
 		if _, err := New(g, o); err == nil {

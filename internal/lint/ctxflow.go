@@ -18,7 +18,8 @@ import (
 // callee, or a select on ctx.Done. The check honors the repo's per-batch
 // granularity: an inner loop is exempt when an enclosing loop observes
 // the context each iteration — the enclosing check bounds the stale work
-// to one batch, which is the documented contract (docs/performance.md).
+// to one batch, which is the documented contract (docs/performance.md,
+// "Cancellation contract").
 // Loops that cannot block are also exempt: bodies whose only calls are
 // builtins or conversions, with no nested loops or channel operations,
 // and ranges over slices of functions (option-application loops).

@@ -15,7 +15,7 @@ import (
 //
 // Three rules:
 //
-//  1. every internal/cache Put/Get/Do call site must build its key from
+//  1. every internal/cache Do call site must build its key from
 //     an epoch-bearing value (an identifier, field, or call with "epoch"
 //     in its name, e.g. view.Epoch());
 //  2. no new score-shaped map caches outside internal/cache: a variable
@@ -105,31 +105,16 @@ func checkEpochRekey(pass *Pass, lhs ast.Expr) {
 		"re-keying a cache entry's epoch outside internal/cache: only the audited CarryForward path may move an entry between epochs (build a fresh key and recompute instead)")
 }
 
-// checkCacheCall flags cache.Cache Put/Get/Do calls whose key does not
-// flow from an epoch-bearing value (rule 1).
+// checkCacheCall flags cache.Cache Do calls whose key does not flow from
+// an epoch-bearing value (rule 1).
 func checkCacheCall(pass *Pass, file *ast.File, call *ast.CallExpr) {
 	named, method := methodRecvNamed(pass.Info, call)
-	if !namedIs(named, "internal/cache", "Cache") {
+	if !namedIs(named, "internal/cache", "Cache") || method != "Do" || len(call.Args) < 2 {
 		return
 	}
-	var keyArg ast.Expr
-	switch method {
-	case "Put", "Get":
-		if len(call.Args) < 1 {
-			return
-		}
-		keyArg = call.Args[0]
-	case "Do":
-		if len(call.Args) < 2 {
-			return
-		}
-		keyArg = call.Args[1]
-	default:
-		return
-	}
-	if expr, ok := epochFlow(pass, file, keyArg); !ok {
+	if expr, ok := epochFlow(pass, file, call.Args[1]); !ok {
 		pass.Reportf(expr.Pos(),
-			"cache %s key does not flow from an epoch-bearing value: a key without the graph epoch serves stale scores after the first mutation", method)
+			"cache Do key does not flow from an epoch-bearing value: a key without the graph epoch serves stale scores after the first mutation")
 	}
 }
 

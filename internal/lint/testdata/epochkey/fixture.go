@@ -13,19 +13,21 @@ type view struct{ e uint64 }
 
 func (v view) Epoch() uint64 { return v.e }
 
+func compute(context.Context) (any, error) { return nil, nil }
+
 // True positive: the key literal never sets Epoch, so every epoch shares
 // one entry and the first mutation starts serving stale scores.
-func missingEpochField(c *cache.Cache, u int32) {
+func missingEpochField(ctx context.Context, c *cache.Cache, u int32) {
 	key := cache.Key{Kind: "single-source", Node: u} // want "does not flow from an epoch-bearing value"
-	c.Put(key, nil)
+	c.Do(ctx, key, compute)
 }
 
 // True positive: Epoch is set, but from nothing epoch-bearing.
-func hardcodedEpoch(c *cache.Cache, u int32) (any, bool) {
-	return c.Get(cache.Key{Epoch: 0, Kind: "topk", Node: u}) // want "does not flow from an epoch-bearing value"
+func hardcodedEpoch(ctx context.Context, c *cache.Cache, u int32) (any, cache.Outcome, error) {
+	return c.Do(ctx, cache.Key{Epoch: 0, Kind: "topk", Node: u}, compute) // want "does not flow from an epoch-bearing value"
 }
 
-// True positive: Do's key (second argument) is checked too.
+// True positive: an inline key literal with no Epoch field.
 func doWithoutEpoch(ctx context.Context, c *cache.Cache, u int32) {
 	c.Do(ctx, cache.Key{Kind: "pair", Node: u}, func(context.Context) (any, error) { // want "does not flow from an epoch-bearing value"
 		return nil, nil
@@ -33,20 +35,20 @@ func doWithoutEpoch(ctx context.Context, c *cache.Cache, u int32) {
 }
 
 // Correct negative: the key flows from view.Epoch().
-func epochFromView(c *cache.Cache, v view, u int32) {
+func epochFromView(ctx context.Context, c *cache.Cache, v view, u int32) {
 	key := cache.Key{Epoch: v.Epoch(), Kind: "pair", Node: u}
-	c.Put(key, 1.0)
+	c.Do(ctx, key, compute)
 }
 
 // Correct negative: the key flows from an epoch-named variable.
-func epochFromParam(c *cache.Cache, epoch uint64, u int32) (any, bool) {
-	return c.Get(cache.Key{Epoch: epoch, Kind: "single-source", Node: u})
+func epochFromParam(ctx context.Context, c *cache.Cache, epoch uint64, u int32) (any, cache.Outcome, error) {
+	return c.Do(ctx, cache.Key{Epoch: epoch, Kind: "single-source", Node: u}, compute)
 }
 
 // Correct negative: a prebuilt key parameter is the caller's
 // responsibility — its construction site is checked where it occurs.
-func putPrebuilt(c *cache.Cache, key cache.Key, v any) {
-	c.Put(key, v)
+func doPrebuilt(ctx context.Context, c *cache.Cache, key cache.Key) {
+	c.Do(ctx, key, compute)
 }
 
 // True positive: a score-shaped map announcing caching intent, outside

@@ -73,50 +73,21 @@ func (a *admission) acquire(ctx context.Context) (time.Duration, error) {
 
 func (a *admission) release() { <-a.slots }
 
-// acquireUpTo takes one slot (waiting in the bounded queue like acquire)
-// plus up to n-1 more without waiting, and returns how many it holds and
-// how long the first slot took. The extra slots are best-effort on
-// purpose: a multi-slot caller that blocked while holding slots could
-// deadlock against another multi-slot caller, so beyond the first slot
-// it only ever takes what is free now.
-func (a *admission) acquireUpTo(ctx context.Context, n int) (int, time.Duration, error) {
-	wait, err := a.acquire(ctx)
-	if err != nil {
-		return 0, wait, err
-	}
-	held := 1
-	for held < n {
-		select {
-		case a.slots <- struct{}{}:
-			held++
-		default:
-			return held, wait, nil
-		}
-	}
-	return held, wait, nil
-}
-
-func (a *admission) releaseN(n int) {
-	for i := 0; i < n; i++ {
-		<-a.slots
-	}
-}
-
 // inFlight reports the number of held slots.
 func (a *admission) inFlight() int { return len(a.slots) }
 
 // queueDepth reports the number of requests waiting for a slot.
 func (a *admission) queueDepth() int64 { return a.queued.Load() }
 
-// recordService notes that a computation held n slots for d each. The
-// running totals give the mean per-slot occupancy time, the service-rate
-// half of the Retry-After estimate.
-func (a *admission) recordService(d time.Duration, n int) {
-	if d < 0 || n <= 0 {
+// recordService notes that a computation held its slot for d. The
+// running totals give the mean slot-occupancy time, the service-rate half
+// of the Retry-After estimate.
+func (a *admission) recordService(d time.Duration) {
+	if d < 0 {
 		return
 	}
-	a.completed.Add(uint64(n))
-	a.busyNanos.Add(uint64(d) * uint64(n))
+	a.completed.Add(1)
+	a.busyNanos.Add(uint64(d))
 }
 
 // avgServiceNanos is the observed mean slot-occupancy time (0 before any

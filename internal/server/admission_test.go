@@ -16,7 +16,7 @@ func TestRetryAfterAdaptsToBacklog(t *testing.T) {
 	}
 
 	// Observe a 1s mean service time.
-	a.recordService(time.Second, 1)
+	a.recordService(time.Second)
 
 	// Idle server: one request ahead of the newcomer at most (itself),
 	// drained by 2 workers → ceil(1·1s/2) = 1s.
@@ -47,8 +47,8 @@ func TestRetryAfterAdaptsToBacklog(t *testing.T) {
 func TestRetryAfterTracksServiceRate(t *testing.T) {
 	slow := newAdmission(1, 8)
 	fast := newAdmission(1, 8)
-	slow.recordService(4*time.Second, 1)
-	fast.recordService(10*time.Millisecond, 1)
+	slow.recordService(4 * time.Second)
+	fast.recordService(10 * time.Millisecond)
 	slow.queued.Store(3)
 	fast.queued.Store(3)
 
@@ -66,17 +66,18 @@ func TestRetryAfterTracksServiceRate(t *testing.T) {
 	}
 }
 
-// TestRecordServiceAveragesSlots: multi-slot completions weight the mean
-// by slots held, and invalid inputs are ignored.
+// TestRecordServiceAveragesSlots: the mean is over slot occupancies, and
+// a negative duration is ignored.
 func TestRecordServiceAveragesSlots(t *testing.T) {
 	a := newAdmission(4, 4)
-	a.recordService(2*time.Second, 3)
-	a.recordService(-time.Second, 1) // ignored
-	a.recordService(time.Second, 0)  // ignored
+	for range 3 {
+		a.recordService(2 * time.Second)
+	}
+	a.recordService(-time.Second) // ignored
 	if got := a.avgServiceNanos(); got != uint64(2*time.Second) {
 		t.Fatalf("avg = %d ns, want %d", got, uint64(2*time.Second))
 	}
-	a.recordService(0, 1)
+	a.recordService(0)
 	want := uint64(6*time.Second) / 4
 	if got := a.avgServiceNanos(); got != want {
 		t.Fatalf("avg after zero-duration completion = %d ns, want %d", got, want)

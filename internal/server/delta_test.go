@@ -20,23 +20,23 @@ import (
 // entirely by the depth-L* BFS, which degenerates to drop-everything.)
 func clusteredDyn(t *testing.T, clusters, size int32) *simpush.DynamicGraph {
 	t.Helper()
-	dyn := simpush.NewDynamicGraph(clusters*size, int(clusters*size)*2)
+	var edges [][2]int32
 	for c := int32(0); c < clusters; c++ {
 		base := c * size
 		for i := int32(0); i < size; i++ {
-			if err := dyn.AddEdge(base+i, base+(i+1)%size); err != nil {
-				t.Fatal(err)
-			}
+			edges = append(edges, [2]int32{base + i, base + (i+1)%size})
 		}
 		// Hub edges give every in-cluster pair a shared in-neighbor and
 		// hence positive SimRank, so top-k support stays inside the
 		// cluster (a bare ring has all-zero off-diagonal scores, and
 		// TopK would pad with zero-score nodes from other clusters).
 		for i := int32(2); i < size; i++ {
-			if err := dyn.AddEdge(base, base+i); err != nil {
-				t.Fatal(err)
-			}
+			edges = append(edges, [2]int32{base, base + i})
 		}
+	}
+	dyn := simpush.NewDynamicGraph(clusters*size, len(edges))
+	if _, _, err := dyn.ApplyEdges(edges, nil); err != nil {
+		t.Fatal(err)
 	}
 	return dyn
 }
@@ -59,7 +59,7 @@ func newClusteredServer(t *testing.T, cfg Config) (*Server, *simpush.DynamicGrap
 // sample node is read three ways: its dense row, a pair whose target is
 // the next cluster's sample (carried even when only the target's cluster
 // mutated), and its top-k. Run under -race, with each round's reads
-// issued concurrently so the commit hook races real request traffic.
+// issued concurrently.
 func TestCarryForwardBitIdenticalProperty(t *testing.T) {
 	const clusters, size, rounds, k = int32(12), int32(25), 12, 5
 	// Room for every read of a round at once: admission must not 429 the
@@ -108,9 +108,8 @@ func TestCarryForwardBitIdenticalProperty(t *testing.T) {
 			}
 		}
 
-		// Fire every read of the round concurrently; the first arrivals
-		// race the lazy rebuild (and its carry-forward hook) against each
-		// other.
+		// Fire every read of the round concurrently; they race each other
+		// through the cache lookups of the carried and fresh entries.
 		recs := make([][3]*httptest.ResponseRecorder, len(sample))
 		var wg sync.WaitGroup
 		for i := range sample {
@@ -356,24 +355,18 @@ func TestLeaderMutationCarriesCache(t *testing.T) {
 func TestMetricszExposesDeltaCounters(t *testing.T) {
 	s, _ := newClusteredServer(t, Config{})
 	doReq(s, "GET", "/v1/single-source?node=30&seed=4", "")
-	// A removal of a never-existing edge: lazily discarded, surfaced as a
-	// counted no-op. Exactly one query pays the snapshot error.
-	if rec := doReq(s, "DELETE", "/v1/edges", `{"from":3,"to":7}`); rec.Code != 200 {
+	// A removal of a never-existing edge is refused with nothing applied;
+	// the removal of a ring edge commits.
+	if rec := doReq(s, "DELETE", "/v1/edges", `{"from":3,"to":7}`); rec.Code != 400 {
+		t.Fatalf("delete of a never-existing edge: %d %s, want 400", rec.Code, rec.Body.String())
+	}
+	if rec := doReq(s, "DELETE", "/v1/edges", `{"from":3,"to":4}`); rec.Code != 200 {
 		t.Fatalf("delete: %d %s", rec.Code, rec.Body.String())
-	}
-	if rec := doReq(s, "GET", "/v1/single-source?node=30&seed=4", ""); rec.Code != 500 {
-		t.Fatalf("query after bad removal = %d, want the one-time snapshot error", rec.Code)
-	}
-	if rec := doReq(s, "GET", "/v1/single-source?node=55&seed=4", ""); rec.Code != 200 {
-		t.Fatalf("recovery query = %d %s", rec.Code, rec.Body.String())
 	}
 
 	samples := scrape(t, s)
-	if got := metric(t, samples, "simrankd_graph_discarded_deletions_total", nil); got != 1 {
-		t.Fatalf("graph_discarded_deletions_total = %v, want 1", got)
-	}
-	if got := metric(t, samples, "simrankd_delta_commits_total", nil); got == 0 {
-		t.Fatal("delta_commits_total = 0 after a committed removal")
+	if got := metric(t, samples, "simrankd_delta_commits_total", nil); got != 1 {
+		t.Fatalf("delta_commits_total = %v after one committed and one refused removal, want 1", got)
 	}
 
 	metrics := doReq(s, "GET", "/metricsz", "").Body.String()
@@ -383,7 +376,6 @@ func TestMetricszExposesDeltaCounters(t *testing.T) {
 		"simrankd_delta_affected_nodes",
 		"simrankd_delta_commits_total",
 		"simrankd_delta_total_fallbacks_total",
-		"simrankd_graph_discarded_deletions_total",
 	} {
 		if !strings.Contains(metrics, series) {
 			t.Errorf("/metricsz missing %s", series)

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/simrank/simpush"
@@ -98,8 +100,6 @@ type queryParams struct {
 	eps, delta float64
 	seed       uint64
 	hasSeed    bool
-	maxWalks   int
-	hasWalks   bool
 }
 
 func parseQueryParams(r *http.Request) (queryParams, *httpError) {
@@ -126,13 +126,6 @@ func parseQueryParams(r *http.Request) (queryParams, *httpError) {
 		}
 		p.seed, p.hasSeed = u, true
 	}
-	if v := q.Get("max_walks"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return p, httpErrf(http.StatusBadRequest, "bad_parameter", "max_walks: %v", err)
-		}
-		p.maxWalks, p.hasWalks = n, true
-	}
 	return p, nil
 }
 
@@ -147,9 +140,6 @@ func (p queryParams) options() []simpush.QueryOption {
 	if p.hasSeed {
 		opts = append(opts, simpush.WithSeed(p.seed))
 	}
-	if p.hasWalks {
-		opts = append(opts, simpush.WithMaxWalks(p.maxWalks))
-	}
 	return opts
 }
 
@@ -158,9 +148,6 @@ func (p queryParams) canonical() string {
 	fmt.Fprintf(&b, "eps=%g;delta=%g", p.eps, p.delta)
 	if p.hasSeed {
 		fmt.Fprintf(&b, ";seed=%d", p.seed)
-	}
-	if p.hasWalks {
-		fmt.Fprintf(&b, ";walks=%d", p.maxWalks)
 	}
 	return b.String()
 }
@@ -249,9 +236,9 @@ func outcomePath(o cache.Outcome) int {
 	return pathCache
 }
 
-// readSpec is what one GET read endpoint adds to the shared read path:
-// its source node, its cache key's aux dimension, how its cached value
-// derives from the engine result, and its response body.
+// readSpec is what one read adds to the shared lookup: its source node,
+// its cache key's aux dimension, how its cached value derives from the
+// engine result, and, for a GET endpoint, its response body.
 type readSpec struct {
 	node int32
 	aux  int64
@@ -265,10 +252,22 @@ type readSpec struct {
 	body func(v any) map[string]any
 }
 
+// rowValue caches the engine result itself: the single-source row.
+func rowValue(res *simpush.Result) any { return res }
+
+// checkNode answers 404 node_not_found unless u is a node of the pinned
+// graph g; what names u's role in the message.
+func checkNode(g *simpush.Graph, what string, u int32) *httpError {
+	if g.HasNode(u) {
+		return nil
+	}
+	return mapError(fmt.Errorf("simpush: %w: %s %d not in [0, %d)", simpush.ErrNodeOutOfRange, what, u, g.N()))
+}
+
 // serveRead is the one read path of /v1/single-source, /v1/topk and
-// /v1/pair: query parameters, deadline, pinned view, cache lookup (an
-// admitted engine run on a miss), spans, latency histogram and error
-// mapping. parse reads the endpoint's own parameters.
+// /v1/pair: query parameters, deadline, pinned view, cache lookup, spans,
+// latency histogram and error mapping. parse reads the endpoint's own
+// parameters.
 func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, kind int, parse func(*http.Request) (readSpec, *httpError)) {
 	if r.Method != http.MethodGet {
 		writeMethodNotAllowed(w, http.MethodGet)
@@ -297,19 +296,15 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, kind int, par
 		return
 	}
 	if rd.target != nil {
-		if g := view.Graph(); !g.HasNode(*rd.target) {
-			s.writeError(w, mapError(fmt.Errorf("simpush: %w: target node %d not in [0, %d)",
-				simpush.ErrNodeOutOfRange, *rd.target, g.N())))
+		if herr := checkNode(view.Graph(), "target node", *rd.target); herr != nil {
+			s.writeError(w, herr)
 			return
 		}
 	}
 
 	tr := obs.FromContext(r.Context())
-	key := cache.Key{Epoch: view.Epoch(), Kind: kindNames[kind], Node: rd.node, Aux: rd.aux, Params: qp.canonical()}
 	cStart := tr.Now()
-	v, outcome, err := s.cache.Do(ctx, key, func(fctx context.Context) (any, error) {
-		return s.computeRead(fctx, tr, view, rd, qp)
-	})
+	v, outcome, err := s.lookup(ctx, tr, view, kind, rd, qp)
 	tr.SpanSince("cache", cStart)
 	if err != nil {
 		s.writeError(w, mapError(err))
@@ -321,6 +316,17 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, kind int, par
 	resp["epoch"] = view.Epoch()
 	resp["cache"] = outcome.String()
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// lookup is the one cache lookup of every read, GET endpoints and batch
+// rows alike: the entry of (pinned epoch, kind, node, aux, params), joined
+// when an identical read is already computing it, and filled by an
+// admitted engine run on a miss.
+func (s *Server) lookup(ctx context.Context, tr *obs.Trace, view *simpush.View, kind int, rd readSpec, qp queryParams) (any, cache.Outcome, error) {
+	key := cache.Key{Epoch: view.Epoch(), Kind: kindNames[kind], Node: rd.node, Aux: rd.aux, Params: qp.canonical()}
+	return s.cache.Do(ctx, key, func(fctx context.Context) (any, error) {
+		return s.computeRead(fctx, tr, view, rd, qp)
+	})
 }
 
 // computeRead is a cache miss's engine run. The flight context the cache
@@ -344,7 +350,7 @@ func (s *Server) computeRead(fctx context.Context, tr *obs.Trace, view *simpush.
 	}
 	t0 := time.Now()
 	defer func() {
-		s.adm.recordService(time.Since(t0), 1)
+		s.adm.recordService(time.Since(t0))
 		s.adm.release()
 	}()
 	res, err := view.SingleSource(ctx, rd.node, qp.options()...)
@@ -359,7 +365,7 @@ func (s *Server) computeRead(fctx context.Context, tr *obs.Trace, view *simpush.
 	return rd.value(res), nil
 }
 
-// GET /v1/single-source?node=&eps=&delta=&seed=&max_walks=&timeout=&dense=
+// GET /v1/single-source?node=&eps=&delta=&seed=&timeout=&dense=
 func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 	s.serveRead(w, r, kSingleSource, func(r *http.Request) (readSpec, *httpError) {
 		u, herr := parseNode(r, "node")
@@ -386,7 +392,7 @@ func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// GET /v1/topk?node=&k=&eps=&delta=&seed=&max_walks=&timeout=
+// GET /v1/topk?node=&k=&eps=&delta=&seed=&timeout=
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	s.serveRead(w, r, kTopK, func(r *http.Request) (readSpec, *httpError) {
 		u, herr := parseNode(r, "node")
@@ -412,7 +418,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// GET /v1/pair?u=&v=&eps=&delta=&seed=&max_walks=&timeout=
+// GET /v1/pair?u=&v=&eps=&delta=&seed=&timeout=
 func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
 	s.serveRead(w, r, kPair, func(r *http.Request) (readSpec, *httpError) {
 		u, herr := parseNode(r, "u")
@@ -435,21 +441,19 @@ func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// batchRequest is the POST /v1/batch body.
+// batchRequest is the POST /v1/batch body. Any other field is ignored.
 type batchRequest struct {
-	Nodes       []int32 `json:"nodes"`
-	K           int     `json:"k"`
-	Parallelism int     `json:"parallelism"`
-	Eps         float64 `json:"eps"`
-	Delta       float64 `json:"delta"`
-	Seed        *uint64 `json:"seed"`
-	MaxWalks    *int    `json:"max_walks"`
+	Nodes []int32 `json:"nodes"`
+	K     int     `json:"k"`
+	Eps   float64 `json:"eps"`
+	Delta float64 `json:"delta"`
+	Seed  *uint64 `json:"seed"`
 }
 
-// POST /v1/batch — many single-source queries pinned to one epoch. The
-// batch reads and fills the same per-node single-source cache entries the
-// GET endpoint uses: cached nodes are reused, the rest run over the
-// engine pool under one admission slot.
+// POST /v1/batch — many single-source queries pinned to one epoch. Every
+// node is checked against the pinned graph first. Each distinct node is
+// then one lookup of the entry /v1/single-source uses, so a batch row and
+// a concurrent GET of the same source share one engine run.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeMethodNotAllowed(w, http.MethodPost)
@@ -478,9 +482,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if req.Seed != nil {
 		qp.seed, qp.hasSeed = *req.Seed, true
 	}
-	if req.MaxWalks != nil {
-		qp.maxWalks, qp.hasWalks = *req.MaxWalks, true
-	}
 	ctx, cancel, herr := s.requestCtx(r)
 	if herr != nil {
 		s.writeError(w, herr)
@@ -492,86 +493,51 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, herr)
 		return
 	}
-
-	// Split the batch into cache hits and misses on this epoch; duplicate
-	// nodes within one batch are computed once.
-	tr := obs.FromContext(r.Context())
-	params := qp.canonical()
-	rows := make([]*simpush.Result, len(req.Nodes))
-	idxByNode := make(map[int32][]int)
-	var missing []int32
-	cached := 0
-	for i, node := range req.Nodes {
-		key := cache.Key{Epoch: view.Epoch(), Kind: kindNames[kSingleSource], Node: node, Params: params}
-		if v, ok := s.cache.Get(key); ok {
-			rows[i] = v.(*simpush.Result)
-			cached++
-			continue
+	g := view.Graph()
+	lookupOf := make(map[int32]int, len(req.Nodes)) // node -> index into nodes
+	var nodes []int32
+	for _, u := range req.Nodes {
+		if herr := checkNode(g, "query node", u); herr != nil {
+			s.writeError(w, herr)
+			return
 		}
-		if _, dup := idxByNode[node]; !dup {
-			missing = append(missing, node)
+		if _, dup := lookupOf[u]; !dup {
+			lookupOf[u] = len(nodes)
+			nodes = append(nodes, u)
 		}
-		idxByNode[node] = append(idxByNode[node], i)
 	}
 
-	if len(missing) > 0 {
-		// Admission holds one slot per batch worker, so concurrent batches
-		// cannot multiply engine concurrency past MaxInFlight: the batch
-		// waits (bounded) for its first slot and widens only by the slots
-		// that are free right now.
-		want := req.Parallelism
-		if want <= 0 || want > s.cfg.MaxInFlight {
-			want = s.cfg.MaxInFlight
-		}
-		if want > len(missing) {
-			want = len(missing)
-		}
-		held, wait, err := s.adm.acquireUpTo(ctx, want)
-		if err != nil {
-			s.writeError(w, mapError(err))
-			return
-		}
-		if wait > 0 && tr.Enabled() {
-			tr.Span("admission_wait", time.Now().Add(-wait), wait)
-		}
-		t0 := time.Now()
-		computed, err := view.BatchSingleSource(ctx, missing, held, qp.options()...)
-		s.adm.recordService(time.Since(t0), held)
-		s.adm.releaseN(held)
-		// One span for the whole engine batch (per-row stage spans would
-		// swamp the trace); the cumulative stage counters still see every
-		// computed row.
-		tr.SpanSince("engine_batch", t0)
-		if err != nil {
-			s.writeError(w, mapError(err))
-			return
-		}
-		for j, res := range computed {
-			s.recordStages(res.Durations)
-			for _, i := range idxByNode[missing[j]] {
-				rows[i] = res
-			}
-			key := cache.Key{Epoch: view.Epoch(), Kind: kindNames[kSingleSource], Node: missing[j], Params: params}
-			s.cache.Put(key, res)
-		}
+	// One span for all the lookups (per-row stage spans would swamp the
+	// trace); the cumulative stage counters still see every engine run.
+	tr := obs.FromContext(r.Context())
+	t0 := tr.Now()
+	rows, outcomes, err := s.lookupRows(ctx, view, nodes, qp)
+	tr.SpanSince("engine_batch", t0)
+	if err != nil {
+		s.writeError(w, mapError(err))
+		return
 	}
 
 	results := make([]map[string]any, len(req.Nodes))
+	cached := 0
 	for i, node := range req.Nodes {
+		j := lookupOf[node]
+		if outcomes[j] == cache.Hit {
+			cached++
+		}
 		entry := map[string]any{"node": node}
 		if req.K > 0 {
-			entry["results"] = rankedEntries(simpush.TopK(rows[i].Scores, req.K, node))
+			entry["results"] = rankedEntries(simpush.TopK(rows[j].Scores, req.K, node))
 		} else {
-			sp := sparseScores(rows[i].Scores)
+			sp := sparseScores(rows[j].Scores)
 			entry["nnz"] = len(sp)
 			entry["scores"] = sp
 		}
 		results[i] = entry
 	}
-	// A batch is an engine sample iff it computed at least one row;
-	// fully-cached batches measure the lookup path.
+	// A batch is an engine sample iff one of its lookups ran the engine.
 	path := pathCache
-	if len(missing) > 0 {
+	if slices.Contains(outcomes, cache.Computed) {
 		path = pathEngine
 	}
 	s.observeLatency(kBatch, path, time.Since(start))
@@ -581,6 +547,53 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		"cached":  cached,
 		"results": results,
 	})
+}
+
+// lookupRows looks up the single-source row of each node, with at most
+// MaxInFlight lookups running at once; each miss holds one admission slot
+// for its own engine run. The first error cancels the lookups still
+// running and is returned.
+func (s *Server) lookupRows(ctx context.Context, view *simpush.View, nodes []int32, qp queryParams) ([]*simpush.Result, []cache.Outcome, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	rows := make([]*simpush.Result, len(nodes))
+	outcomes := make([]cache.Outcome, len(nodes))
+	next := make(chan int, len(nodes))
+	for i := range nodes {
+		next <- i
+	}
+	close(next)
+	var (
+		wg       sync.WaitGroup
+		failOnce sync.Once
+		firstErr error
+	)
+	fail := func(err error) {
+		failOnce.Do(func() {
+			firstErr = err
+			cancel()
+		})
+	}
+	for range min(s.cfg.MaxInFlight, len(nodes)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				if err := ctx.Err(); err != nil {
+					fail(err)
+					return
+				}
+				v, outcome, err := s.lookup(ctx, nil, view, kSingleSource, readSpec{node: nodes[i], value: rowValue}, qp)
+				if err != nil {
+					fail(err)
+					return
+				}
+				rows[i], outcomes[i] = v.(*simpush.Result), outcome
+			}
+		}()
+	}
+	wg.Wait()
+	return rows, outcomes, firstErr
 }
 
 // edgeSpec is one edge of a mutation request.
@@ -603,10 +616,9 @@ type edgesRequest struct {
 	Edges []edgeSpec `json:"edges"`
 }
 
-// POST /v1/edges adds edges; DELETE /v1/edges marks them for removal.
-// Removal validation is lazy (the dynamic graph's contract): removing a
-// nonexistent edge surfaces as an error on the next snapshot — that is,
-// the next query — and the source then recovers.
+// POST /v1/edges adds edges; DELETE /v1/edges removes them. Standalone
+// daemons and leaders commit the whole request through commitEdges, as
+// one epoch advance or not at all; a follower refuses direct writes.
 func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost && r.Method != http.MethodDelete {
 		writeMethodNotAllowed(w, http.MethodPost, http.MethodDelete)
@@ -635,71 +647,28 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, httpErrf(http.StatusBadRequest, "missing_parameter", "body names no edges"))
 		return
 	}
-	if r.Method == http.MethodDelete {
-		// Lazy removal validation is for edges that may have existed and
-		// raced away — ids that can never exist must not poison the next
-		// snapshot (a 500 on some unrelated user's query); reject them
-		// eagerly like POST does.
-		for _, e := range edges {
-			if e.From < 0 || e.To < 0 {
-				s.writeError(w, httpErrf(http.StatusBadRequest, "bad_edge",
-					"negative node id (%d, %d)", e.From, e.To))
-				return
-			}
-		}
-	} else {
-		// Checked before anything is applied, so a refused batch never
-		// reaches the graph or the replication log.
-		n := int64(s.client.Graph().N())
-		for _, e := range edges {
-			if max(int64(e.From), int64(e.To)) >= n+maxNodeGrowth {
-				s.writeError(w, httpErrf(http.StatusBadRequest, "bad_edge",
-					"edge (%d, %d): node ids must be below n+%d = %d (nothing applied)", e.From, e.To, maxNodeGrowth, n+maxNodeGrowth))
-				return
-			}
-		}
-	}
-	switch s.rep.role {
-	case RoleFollower:
+	if s.rep.role == RoleFollower {
 		// Mutations flow leader → follower only; accepting a direct write
 		// here would fork the follower's epoch sequence off the leader's.
 		s.writeError(w, httpErrf(http.StatusConflict, "not_leader",
 			"this replica is a follower; send mutations to the leader at %s", s.rep.leaderURL))
 		return
-	case RoleLeader:
-		// Leader mutations are atomic (all-or-nothing, exactly one epoch
-		// advance per request) and recorded in the replication log.
-		pairs := make([][2]int32, len(edges))
-		for i, e := range edges {
-			pairs[i] = [2]int32{e.From, e.To}
-		}
-		var adds, removes [][2]int32
-		if r.Method == http.MethodPost {
-			adds = pairs
-		} else {
-			removes = pairs
-		}
-		epoch, err := s.applyLeaderBatch(adds, removes)
-		if err != nil {
-			s.writeError(w, httpErrf(http.StatusBadRequest, "bad_edge", "%v (batch rejected, nothing applied)", err))
-			return
-		}
-		s.observeLatency(kEdges, pathEngine, time.Since(start))
-		writeJSON(w, http.StatusOK, map[string]any{"applied": len(edges), "epoch": epoch})
+	}
+	pairs := make([][2]int32, len(edges))
+	for i, e := range edges {
+		pairs[i] = [2]int32{e.From, e.To}
+	}
+	var adds, removes [][2]int32
+	if r.Method == http.MethodPost {
+		adds = pairs
+	} else {
+		removes = pairs
+	}
+	epoch, err := s.commitEdges(adds, removes)
+	if err != nil {
+		s.writeError(w, httpErrf(http.StatusBadRequest, "bad_edge", "%v (nothing applied)", err))
 		return
 	}
-	applied := 0
-	for _, e := range edges {
-		if r.Method == http.MethodPost {
-			if err := s.dyn.AddEdge(e.From, e.To); err != nil {
-				s.writeError(w, httpErrf(http.StatusBadRequest, "bad_edge", "%v (applied %d of %d)", err, applied, len(edges)))
-				return
-			}
-		} else {
-			s.dyn.RemoveEdge(e.From, e.To)
-		}
-		applied++
-	}
 	s.observeLatency(kEdges, pathEngine, time.Since(start))
-	writeJSON(w, http.StatusOK, map[string]any{"applied": applied})
+	writeJSON(w, http.StatusOK, map[string]any{"applied": len(edges), "epoch": epoch})
 }

@@ -65,12 +65,6 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		mw.Counter("simrankd_delta_total_fallbacks_total", "Epoch deltas that degraded to a whole-cache drop.")
 		mw.Sample("simrankd_delta_total_fallbacks_total", nil, float64(s.deltaTotals.Load()))
 	}
-	var discarded uint64
-	if s.dyn != nil {
-		discarded = s.dyn.DiscardedDeletions()
-	}
-	mw.Counter("simrankd_graph_discarded_deletions_total", "Removals of never-existing edges discarded by the dynamic source.")
-	mw.Sample("simrankd_graph_discarded_deletions_total", nil, float64(discarded))
 
 	mw.Gauge("simrankd_admission_in_flight", "Engine computations currently holding a slot.")
 	mw.Sample("simrankd_admission_in_flight", nil, float64(s.adm.inFlight()))

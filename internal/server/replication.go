@@ -11,21 +11,22 @@ import (
 
 // Role selects a simrankd's position in a replicated cluster.
 //
-// A leader applies every /v1/edges batch atomically (one batch = exactly
-// one epoch advance) and records it in a bounded in-memory mutation log
-// served at GET /v1/replication. A follower rejects direct writes and
-// instead long-polls a leader's log, replaying each batch through the
-// same atomic primitive — because both sides start from the same base
-// graph and apply identical batches in identical order, their (graph,
-// epoch) sequences are bit-identical, which is what lets a router treat
-// "same epoch" as "same answers".
+// A standalone daemon and a leader apply every /v1/edges batch atomically
+// (one batch = exactly one epoch advance); a leader also records it in a
+// bounded in-memory mutation log served at GET /v1/replication. A
+// follower rejects direct writes and instead long-polls a leader's log,
+// replaying each batch through the same atomic primitive — because both
+// sides start from the same base graph and apply identical batches in
+// identical order, their (graph, epoch) sequences are bit-identical,
+// which is what lets a router treat "same epoch" as "same answers".
 type Role string
 
 const (
-	// RoleStandalone is the default single-process mode: mutations apply
-	// lazily (buffered until the next snapshot), no replication endpoints.
+	// RoleStandalone is the default single-process mode: writes commit
+	// as on a leader, but nothing is logged and there are no replication
+	// endpoints.
 	RoleStandalone Role = "standalone"
-	// RoleLeader serves the replication feed and applies writes eagerly.
+	// RoleLeader commits writes and serves them as the replication feed.
 	RoleLeader Role = "leader"
 	// RoleFollower replays a leader's feed and rejects direct writes.
 	RoleFollower Role = "follower"
@@ -147,13 +148,23 @@ func (s *Server) lag() uint64 {
 	return 0
 }
 
-// applyLeaderBatch commits one mutation batch on a leader: apply + epoch
-// advance + log append happen in one critical section, so the log's entry
-// order always matches the epoch order followers will replay.
-func (s *Server) applyLeaderBatch(adds, removes [][2]int32) (uint64, error) {
+// commitEdges commits one write on a standalone daemon or a leader. It
+// checks the node-range bound, then ApplyEdges validates the whole batch
+// and applies it as exactly one epoch advance, or refuses it with nothing
+// applied. A leader appends the batch to its replication log in the same
+// critical section, so the log's entry order is the epoch order followers
+// replay.
+func (s *Server) commitEdges(adds, removes [][2]int32) (uint64, error) {
 	s.mutMu.Lock()
+	n := int64(s.client.Graph().N())
+	for _, e := range adds {
+		if max(int64(e[0]), int64(e[1])) >= n+maxNodeGrowth {
+			s.mutMu.Unlock()
+			return 0, fmt.Errorf("edge (%d, %d): node ids must be below n+%d = %d", e[0], e[1], maxNodeGrowth, n+maxNodeGrowth)
+		}
+	}
 	_, epoch, err := s.dyn.ApplyEdges(adds, removes)
-	if err == nil {
+	if err == nil && s.rep.log != nil {
 		s.rep.log.append(repEntry{Epoch: epoch, Add: adds, Remove: removes})
 	}
 	s.mutMu.Unlock()

@@ -68,8 +68,9 @@ type Config struct {
 	// Role places the server in a replicated cluster: RoleLeader serves
 	// the mutation feed at /v1/replication, RoleFollower replays one (see
 	// LeaderURL) and rejects direct writes. The default, RoleStandalone,
-	// is the single-process mode with no replication endpoints. Both
-	// replicated roles require a *DynamicGraph source.
+	// is the single-process mode with no replication endpoints; it
+	// commits writes as a leader does. Both replicated roles require a
+	// *DynamicGraph source.
 	Role Role
 
 	// LeaderURL is the base URL of the leader's HTTP API (required when
@@ -166,7 +167,7 @@ type Server struct {
 	draining atomic.Bool
 	start    time.Time
 	rep      replication
-	mutMu    sync.Mutex // leader: keeps log append order = epoch order
+	mutMu    sync.Mutex // serializes writes: bound check, commit and log append
 
 	ring   *obs.Ring    // last-N completed traces (nil = disabled)
 	logger *slog.Logger // slow-query and serving logs

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -103,6 +104,24 @@ func decodeBody(t *testing.T, rec *httptest.ResponseRecorder) map[string]any {
 	return m
 }
 
+// waitUntil polls cond until it holds, failing the test after 5 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// healthEpoch reads the committed epoch from /healthz.
+func healthEpoch(t *testing.T, s *Server) float64 {
+	t.Helper()
+	return decodeBody(t, doReq(s, "GET", "/healthz", ""))["epoch"].(float64)
+}
+
 // TestHandlerTable covers request validation across every endpoint: bad
 // nodes, bad parameters, method mismatches, bodies.
 func TestHandlerTable(t *testing.T) {
@@ -126,6 +145,8 @@ func TestHandlerTable(t *testing.T) {
 		{"eps underflows", "GET", "/v1/single-source?node=1&eps=1e-300", "", 400, "invalid_options"},
 		{"eps needs too many walks", "GET", "/v1/single-source?node=1&eps=1e-9", "", 400, "invalid_options"},
 		{"eps Inf", "GET", "/v1/single-source?node=1&eps=Inf", "", 400, "invalid_options"},
+		{"eps underflows under a walk cap", "GET", "/v1/single-source?node=1&eps=1e-300&max_walks=1000", "", 400, "invalid_options"},
+		{"negative max_walks is ignored", "GET", "/v1/single-source?node=1&max_walks=-5", "", 200, ""},
 		{"negative delta", "GET", "/v1/single-source?node=1&delta=-0.1", "", 400, "invalid_options"},
 		{"topk eps NaN", "GET", "/v1/topk?node=1&eps=NaN", "", 400, "invalid_options"},
 		{"bad timeout", "GET", "/v1/single-source?node=1&timeout=soon", "", 400, "bad_parameter"},
@@ -144,6 +165,8 @@ func TestHandlerTable(t *testing.T) {
 		{"batch too large", "POST", "/v1/batch", `{"nodes":[1,2,3,4,5]}`, 413, "batch_too_large"},
 		{"batch negative k", "POST", "/v1/batch", `{"nodes":[1],"k":-1}`, 400, "bad_parameter"},
 		{"batch bad node", "POST", "/v1/batch", `{"nodes":[1,88888]}`, 404, "node_not_found"},
+		{"batch negative node", "POST", "/v1/batch", `{"nodes":[-1]}`, 404, "node_not_found"},
+		{"batch eps underflows under a walk cap", "POST", "/v1/batch", `{"nodes":[1],"eps":1e-300,"max_walks":1000}`, 400, "invalid_options"},
 		{"edges on static source", "POST", "/v1/edges", `{"from":1,"to":2}`, 501, "static_source"},
 		{"edges method mismatch", "GET", "/v1/edges", "", 405, "method_not_allowed"},
 		{"healthz method mismatch", "POST", "/healthz", "", 405, "method_not_allowed"},
@@ -388,12 +411,10 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl drives the controller to saturation and checks the
-// HTTP surface: a request that cannot even queue gets 429 + Retry-After.
-func TestAdmissionControl(t *testing.T) {
-	s := newStaticServer(t, Config{MaxInFlight: 1, MaxQueue: 1})
-
-	// Occupy the only slot, then park a waiter in the only queue seat.
+// saturate holds the only admission slot and parks one waiter in the
+// only queue seat, returning the waiter's acquire result.
+func saturate(t *testing.T, s *Server) <-chan error {
+	t.Helper()
 	if _, err := s.adm.acquire(t.Context()); err != nil {
 		t.Fatal(err)
 	}
@@ -402,13 +423,15 @@ func TestAdmissionControl(t *testing.T) {
 		_, err := s.adm.acquire(t.Context())
 		waiterIn <- err
 	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for s.adm.queueDepth() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("queued waiter never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the queued waiter", func() bool { return s.adm.queueDepth() == 1 })
+	return waiterIn
+}
+
+// TestAdmissionControl drives the controller to saturation and checks the
+// HTTP surface: a request that cannot even queue gets 429 + Retry-After.
+func TestAdmissionControl(t *testing.T) {
+	s := newStaticServer(t, Config{MaxInFlight: 1, MaxQueue: 1})
+	waiterIn := saturate(t, s)
 
 	rec := doReq(s, "GET", "/v1/single-source?node=5", "")
 	if rec.Code != http.StatusTooManyRequests {
@@ -625,45 +648,84 @@ func TestErrSaturatedMapping(t *testing.T) {
 	}
 }
 
-// TestAcquireUpTo pins the multi-slot admission semantics behind /v1/batch:
-// the first slot may wait, extras are taken only if free, and the total
-// held across callers never exceeds the in-flight limit.
-func TestAcquireUpTo(t *testing.T) {
-	a := newAdmission(4, 8)
-	held, _, err := a.acquireUpTo(t.Context(), 3)
-	if err != nil || held != 3 {
-		t.Fatalf("first batch: held %d, err %v", held, err)
-	}
-	// One slot left: a second wide request gets its guaranteed first slot
-	// and no extras — engine concurrency stays within the limit.
-	held2, _, err := a.acquireUpTo(t.Context(), 3)
-	if err != nil || held2 != 1 {
-		t.Fatalf("second batch: held %d, err %v", held2, err)
-	}
-	if a.inFlight() != 4 {
-		t.Fatalf("in-flight = %d, want 4", a.inFlight())
-	}
-	a.releaseN(held)
-	a.releaseN(held2)
-	if a.inFlight() != 0 {
-		t.Fatalf("in-flight after release = %d", a.inFlight())
-	}
-}
-
-// TestDeleteEdgeRejectsImpossibleIds: removal validation is lazy for
-// edges that may have raced away, but ids that can never exist must be
-// rejected eagerly — otherwise the poisoned snapshot fails an unrelated
-// user's next query.
+// TestDeleteEdgeRejectsImpossibleIds: a removal naming an id that can
+// never exist is refused with nothing applied, and the next query is
+// served.
 func TestDeleteEdgeRejectsImpossibleIds(t *testing.T) {
 	s, _ := newDynamicServer(t, Config{})
 	rec := doReq(s, "DELETE", "/v1/edges", `{"from":-5,"to":3}`)
 	if rec.Code != 400 || decodeBody(t, rec)["code"] != "bad_edge" {
 		t.Fatalf("negative-id delete = %d %s, want 400 bad_edge", rec.Code, rec.Body.String())
 	}
-	// The rejected removal must not have been recorded: the next query
-	// succeeds.
 	if rec := doReq(s, "GET", "/v1/single-source?node=1", ""); rec.Code != 200 {
 		t.Fatalf("query after rejected delete = %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// A standalone removal of an edge that was never added is refused whole:
+// 400 with the epoch unchanged, and one client's bad write cannot fail
+// another client's read.
+func TestStandaloneBadRemovalAppliesNothing(t *testing.T) {
+	s, _ := newDynamicServer(t, Config{})
+	to := int32(0)
+	for slices.Contains(s.client.Graph().Out(3), to) {
+		to++
+	}
+	epoch := healthEpoch(t, s)
+	rec := doReq(s, "DELETE", "/v1/edges", fmt.Sprintf(`{"from":3,"to":%d}`, to))
+	if rec.Code != 400 || decodeBody(t, rec)["code"] != "bad_edge" {
+		t.Fatalf("removal of a never-added edge = %d %s, want 400 bad_edge", rec.Code, rec.Body.String())
+	}
+	if got := healthEpoch(t, s); got != epoch {
+		t.Fatalf("refused removal moved the epoch from %v to %v", epoch, got)
+	}
+	if rec := doReq(s, "GET", "/v1/single-source?node=55&seed=4", ""); rec.Code != 200 {
+		t.Fatalf("read after the refused removal = %d %s, want 200", rec.Code, rec.Body.String())
+	}
+}
+
+// A standalone POST applies all of its edges or none of them.
+func TestStandalonePostAppliesAllOrNothing(t *testing.T) {
+	s, _ := newDynamicServer(t, Config{})
+	epoch, m := healthEpoch(t, s), s.client.Graph().M()
+	rec := doReq(s, "POST", "/v1/edges", `{"edges":[{"from":1,"to":2},{"from":-1,"to":3}]}`)
+	if rec.Code != 400 || decodeBody(t, rec)["code"] != "bad_edge" {
+		t.Fatalf("POST with a negative id = %d %s, want 400 bad_edge", rec.Code, rec.Body.String())
+	}
+	if got := s.client.Graph().M(); got != m {
+		t.Fatalf("refused POST changed m from %d to %d", m, got)
+	}
+	if got := healthEpoch(t, s); got != epoch {
+		t.Fatalf("refused POST moved the epoch from %v to %v", epoch, got)
+	}
+}
+
+// Each standalone write commits its own epoch and answers it; the next
+// read pins that epoch.
+func TestStandalonePostAnswersItsEpoch(t *testing.T) {
+	s, _ := newDynamicServer(t, Config{})
+	var epochs []float64
+	for _, body := range []string{`{"from":1,"to":299}`, `{"from":2,"to":298}`} {
+		rec := doReq(s, "POST", "/v1/edges", body)
+		if rec.Code != 200 {
+			t.Fatalf("POST %s = %d %s", body, rec.Code, rec.Body.String())
+		}
+		m := decodeBody(t, rec)
+		if m["applied"] != float64(1) {
+			t.Fatalf("POST %s applied %v, want 1", body, m["applied"])
+		}
+		epoch, ok := m["epoch"].(float64)
+		if !ok {
+			t.Fatalf("POST %s body %s has no epoch", body, rec.Body.String())
+		}
+		epochs = append(epochs, epoch)
+	}
+	if epochs[1] != epochs[0]+1 {
+		t.Fatalf("two POSTs committed at epochs %v, want consecutive epochs", epochs)
+	}
+	read := decodeBody(t, doReq(s, "GET", "/v1/single-source?node=1&seed=2", ""))
+	if read["epoch"] != epochs[1] {
+		t.Fatalf("next read pinned epoch %v, want the last POST's %v", read["epoch"], epochs[1])
 	}
 }
 
@@ -708,21 +770,43 @@ func TestEdgeNodeRangeBound(t *testing.T) {
 	}
 }
 
+// checkIgnoredParam checks that a read sending param is served the plain
+// read's body from the plain read's cache entry.
+func checkIgnoredParam(t *testing.T, param string) {
+	t.Helper()
+	s := newStaticServer(t, Config{})
+	plain := doReq(s, "GET", "/v1/single-source?node=3&seed=5", "")
+	if m := decodeBody(t, plain); m["cache"] != "computed" {
+		t.Fatalf("plain query cache = %v, want computed", m["cache"])
+	}
+	rec := doReq(s, "GET", "/v1/single-source?node=3&seed=5&"+param, "")
+	if m := decodeBody(t, rec); m["cache"] != "hit" {
+		t.Fatalf("%s cache = %v, want hit", param, m["cache"])
+	}
+	want := strings.Replace(plain.Body.String(), `"cache":"computed"`, `"cache":"hit"`, 1)
+	if rec.Body.String() != want {
+		t.Fatalf("%s body differs from the plain body:\n%s\n%s", param, rec.Body.String(), want)
+	}
+}
+
 // ?parallelism names no setting: like any unknown parameter it is
 // ignored, so a read that sends it is served the serial answer from the
 // serial request's cache entry.
 func TestParallelismParameter(t *testing.T) {
+	checkIgnoredParam(t, "parallelism=2")
+}
+
+// simrankd reads no walk cap: a cap voids the δ guarantee, so max_walks,
+// in the query string or a batch body, is ignored like any unknown
+// parameter.
+func TestMaxWalksParameterIgnored(t *testing.T) {
+	for _, param := range []string{"max_walks=-5", "max_walks=1000"} {
+		checkIgnoredParam(t, param)
+	}
 	s := newStaticServer(t, Config{})
-	serial := doReq(s, "GET", "/v1/single-source?node=3&seed=5", "")
-	if m := decodeBody(t, serial); m["cache"] != "computed" {
-		t.Fatalf("serial query cache = %v, want computed", m["cache"])
-	}
-	rec := doReq(s, "GET", "/v1/single-source?node=3&seed=5&parallelism=2", "")
-	if m := decodeBody(t, rec); m["cache"] != "hit" {
-		t.Fatalf("parallelism=2 cache = %v, want hit", m["cache"])
-	}
-	want := strings.Replace(serial.Body.String(), `"cache":"computed"`, `"cache":"hit"`, 1)
-	if rec.Body.String() != want {
-		t.Fatalf("parallelism=2 body differs from the serial body:\n%s\n%s", rec.Body.String(), want)
+	doReq(s, "GET", "/v1/single-source?node=3&seed=5", "")
+	rec := doReq(s, "POST", "/v1/batch", `{"nodes":[3],"seed":5,"max_walks":1000,"parallelism":2}`)
+	if m := decodeBody(t, rec); rec.Code != 200 || m["cached"] != float64(1) {
+		t.Fatalf("batch with max_walks and parallelism = %d %s, want 200 served from the GET's entry", rec.Code, rec.Body.String())
 	}
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test for the simrankd serving daemon: build it, start it on a
 # fixture graph, curl every endpoint, assert 200s, assert the second
-# identical query is a cache hit, and check graceful SIGTERM shutdown.
+# identical query is a cache hit, check the edge-write semantics, and
+# check graceful SIGTERM shutdown.
 # Used by CI and runnable locally: make smoke
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -50,11 +51,18 @@ grep -q '"cache":"hit"' "$tmp/out" || fail "second identical query was not a cac
 [ "$(code "$base/v1/pair?u=1&v=2")" = 200 ] || fail "pair not 200"
 [ "$(code -X POST -d '{"nodes":[0,1],"k":2}' "$base/v1/batch")" = 200 ] || fail "batch not 200"
 
-# Live mutation advances the epoch: the previously cached entry must
-# become unreachable and the same query must recompute.
+# Live mutation advances the epoch: the write answers the epoch it
+# committed at, the previously cached entry becomes unreachable and the
+# same query recomputes.
 [ "$(code -X POST -d '{"from":4,"to":1}' "$base/v1/edges")" = 200 ] || fail "edge add not 200"
+grep -q '"epoch":' "$tmp/out" || fail "edge add body carries no epoch"
 [ "$(code "$base/v1/single-source?node=0&seed=1")" = 200 ] || fail "post-mutation query not 200"
 grep -q '"cache":"computed"' "$tmp/out" || fail "post-mutation query served a stale cached result"
+
+# A removal of an edge that was never added is refused with nothing
+# applied, and it cannot fail the next read.
+[ "$(code -X DELETE -d '{"from":1,"to":2}' "$base/v1/edges")" = 400 ] || fail "removal of a never-added edge not 400"
+[ "$(code "$base/v1/single-source?node=3&seed=1")" = 200 ] || fail "read after a refused removal not 200"
 
 # The cache hit above must show on the counter surface.
 [ "$(code "$base/metricsz")" = 200 ] || fail "metricsz not 200"
