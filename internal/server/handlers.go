@@ -375,7 +375,7 @@ func (s *Server) handleSingleSource(w http.ResponseWriter, r *http.Request) {
 		dense := r.URL.Query().Get("dense") == "1"
 		return readSpec{
 			node:  u,
-			value: func(res *simpush.Result) any { return res },
+			value: rowValue,
 			body: func(v any) map[string]any {
 				res := v.(*simpush.Result)
 				resp := map[string]any{"node": u, "n": len(res.Scores), "l": res.L, "walks": res.Walks}
